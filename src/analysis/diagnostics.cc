@@ -1,10 +1,11 @@
 #include "src/analysis/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string_view>
+
+#include "src/util/json_escape.h"
 
 namespace coral {
 
@@ -26,35 +27,6 @@ std::string Diagnostic::ToString() const {
   if (code != nullptr && code[0] != '\0') oss << " [" << code << "]";
   return oss.str();
 }
-
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned char>(ch));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Diagnostic::ToJson(const std::string& file) const {
   std::ostringstream oss;

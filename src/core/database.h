@@ -126,10 +126,6 @@ class Database {
   /// Parses and executes a single query string like "?- path(1, X)."
   /// (the "?-" may be omitted).
   StatusOr<QueryResult> EvalQuery(const std::string& text);
-  [[deprecated("renamed to EvalQuery")]] StatusOr<QueryResult> Query_(
-      const std::string& text) {
-    return EvalQuery(text);
-  }
 
   /// Convenience for the interactive interface: consults `text`, executes
   /// any queries in it, and returns printable results.

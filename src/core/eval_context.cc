@@ -1,6 +1,7 @@
 #include "src/core/eval_context.h"
 
 #include <chrono>
+#include <limits>
 
 namespace coral {
 
@@ -29,7 +30,12 @@ Status CheckEvalDeadline() {
 
 ScopedEvalDeadline::ScopedEvalDeadline(int64_t ms)
     : prev_(g_deadline_ns), installed_(ms > 0) {
-  if (installed_) g_deadline_ns = EvalClockNowNs() + ms * 1'000'000;
+  if (!installed_) return;
+  // Saturates: a deadline past the clock's range never expires.
+  constexpr int64_t kNsPerMs = 1'000'000;
+  const int64_t now = EvalClockNowNs();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  g_deadline_ns = ms > (max - now) / kNsPerMs ? max : now + ms * kNsPerMs;
 }
 
 ScopedEvalDeadline::~ScopedEvalDeadline() {

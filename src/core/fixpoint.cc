@@ -44,9 +44,10 @@ void FlushVmOps(obs::VmCounters* c, const vm::OpCounts& o) {
 
 }  // namespace
 
-std::pair<Mark, Mark> MaterializedInstance::WindowFor(
-    size_t scc_idx, const PredRef& pred, RangeSel sel,
-    const std::unordered_map<PredRef, Mark, PredRefHash>* cur) {
+std::pair<Mark, Mark> MaterializedInstance::WindowFor(size_t scc_idx,
+                                                     const PredRef& pred,
+                                                     RangeSel sel,
+                                                     const MarkMap* cur) {
   Relation* rel = internal(pred);
   if (rel == nullptr) return {0, kMaxMark};  // external: full extension
   Mark prev = 0;
@@ -110,20 +111,137 @@ bool MaterializedInstance::HeadInsert(const PredRef& pred, const Tuple* t) {
   return inserted;
 }
 
+// Head sink of sequential applications. The head relation was resolved
+// once at bind time; re-resolving it by PredRef hash on every solution
+// showed up in profiles. Tracing still needs HeadInsert's event emission,
+// and ordered-search modules never compile, so with a bound head the
+// staging intercept is unreachable.
+class MaterializedInstance::DirectInsertSink : public vm::TupleSink {
+ public:
+  DirectInsertSink(MaterializedInstance* self, PredRef head,
+                   HashRelation* bound_head)
+      : self_(self), head_(head), hrel_(bound_head) {}
+
+  bool Emit(const Tuple* t) override {
+    if (hrel_ != nullptr) {
+      if (!hrel_->Insert(t)) return false;
+      ++self_->stats_.inserts;
+      return true;
+    }
+    return self_->HeadInsert(head_, t);
+  }
+
+ private:
+  MaterializedInstance* self_;
+  PredRef head_;
+  HashRelation* hrel_;  // non-null: skip the per-solution PredRef lookup
+};
+
+namespace {
+
+// Head sink of parallel workers. Relations are frozen for the whole
+// parallel phase, so derivations land in the worker's buffer and Emit
+// never reports a change; the merge barrier inserts them. Contains is a
+// pure read, so workers may pre-filter duplicates against the frozen
+// relation — but only when Insert would do nothing more than that same
+// duplicate check.
+class WorkerBufferSink : public vm::TupleSink {
+ public:
+  WorkerBufferSink(HashRelation* head, InsertBuffer* buffer)
+      : hrel_(head),
+        buffer_(buffer),
+        prefilter_(!head->multiset() && head->selections().empty()) {}
+
+  bool Emit(const Tuple* t) override {
+    if (prefilter_ && hrel_->Contains(t)) return false;
+    buffer_->Add(hrel_, t, /*dedup=*/!hrel_->multiset());
+    return false;
+  }
+
+ private:
+  HashRelation* hrel_;
+  InsertBuffer* buffer_;
+  bool prefilter_;
+};
+
+}  // namespace
+
+int MaterializedInstance::PartitionFor(const Rule& rule, const RuleVersion& v,
+                                       uint32_t part_index,
+                                       uint32_t part_count,
+                                       PartitionSpec* part) const {
+  // Partitioning any single body scan splits the rule's solution set into
+  // disjoint, covering shares, so each derivation is produced by exactly
+  // one worker.
+  int plit = -1;
+  if (v.delta_pos >= 0 && !rule.body[v.delta_pos].negated &&
+      internal(rule.body[v.delta_pos].pred_ref()) != nullptr) {
+    plit = v.delta_pos;
+  } else {
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      const Literal& lit = rule.body[i];
+      if (!lit.negated && internal(lit.pred_ref()) != nullptr) {
+        plit = static_cast<int>(i);
+        break;
+      }
+    }
+  }
+  if (plit < 0) return -1;
+
+  // Partition column: the first argument of the partitioned literal that
+  // is a join argument — non-ground, with every variable bound by an
+  // earlier positive literal — so one subgoal's probes stay on one
+  // worker. Constants are degenerate keys (every matching tuple hashes
+  // alike); no join argument falls back to the whole-tuple hash.
+  std::set<uint32_t> bound;
+  for (int i = 0; i < plit; ++i) {
+    const Literal& lit = rule.body[i];
+    if (lit.negated) continue;
+    std::set<uint32_t> vars = VarsOfLiteral(lit);
+    bound.insert(vars.begin(), vars.end());
+  }
+  static const std::set<uint32_t> kNoVars;
+  const Literal& p = rule.body[plit];
+  int col = -1;
+  for (uint32_t c = 0; c < p.args.size(); ++c) {
+    if (TermBound(p.args[c], bound) && !TermBound(p.args[c], kNoVars)) {
+      col = static_cast<int>(c);
+      break;
+    }
+  }
+  *part = PartitionSpec{col, part_index, part_count};
+  return plit;
+}
+
+StatusOr<bool> MaterializedInstance::ApplyDirect(size_t scc_idx,
+                                                 const RuleVersion& v,
+                                                 bool naive_override,
+                                                 const MarkMap* cur) {
+  const VmBoundRule* vb =
+      VmRuleFor(scc_idx, v.evaluate_once, VersionIndex(scc_idx, v));
+  DirectInsertSink sink(
+      this, prog_->rules[v.rule_index].head.pred_ref(),
+      trace_ == nullptr && vb != nullptr ? vb->head : nullptr);
+  return ApplyVersion(scc_idx, v, naive_override, cur, 0, 1, &trail_,
+                      &stats_, &sink);
+}
+
 StatusOr<bool> MaterializedInstance::ApplyVersion(
     size_t scc_idx, const RuleVersion& v, bool naive_override,
-    const std::unordered_map<PredRef, Mark, PredRefHash>* cur) {
+    const MarkMap* cur, uint32_t part_index, uint32_t part_count,
+    Trail* trail, EvalStats* stats, vm::TupleSink* sink) {
   const Rule& rule = prog_->rules[v.rule_index];
   const bool psn = !v.evaluate_once && cur == nullptr;
 
-  // Applications are counted before the empty-delta short circuits so
-  // the sequential and parallel drivers agree (the parallel driver
-  // counts per version per iteration, without seeing worker skips).
+  // Applications are counted before the empty-delta short circuits, once
+  // per version per iteration — by partition 0 when workers share one.
   obs::RuleStats* rs =
       profile_ != nullptr ? &profile_->rule(v.rule_index) : nullptr;
-  if (rs != nullptr) rs->applications.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t obs_sols0 = stats_.solutions;
-  const uint64_t obs_ins0 = stats_.inserts;
+  if (rs != nullptr && part_index == 0) {
+    rs->applications.fetch_add(1, std::memory_order_relaxed);
+  }
+  const uint64_t obs_sols0 = stats->solutions;
+  const uint64_t obs_ins0 = stats->inserts;
 
   // Empty-delta short circuit (BSN/naive path; PSN has its own below):
   // without it a version whose delta literal sits late in the body would
@@ -153,6 +271,15 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
     if (psn_from >= psn_to) return false;  // empty delta: skip
   }
 
+  // A worker evaluates its share of one partitioned body scan; a rule
+  // with an all-external body is evaluated whole by worker 0.
+  PartitionSpec part;
+  int plit = -1;
+  if (part_count > 1) {
+    plit = PartitionFor(rule, v, part_index, part_count, &part);
+    if (plit < 0 && part_index != 0) return false;
+  }
+
   // Per-literal mark windows, computed once and shared by the VM and the
   // interpreter — BSN, PSN and Naive differ only here, which is what lets
   // one compiled program serve every driver.
@@ -179,44 +306,33 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
   uint64_t obs_derived = 0;
 
   // Join bytecode first; on kFallback the interpreter below re-runs the
-  // application (tuples the VM already inserted are deduplicated, so the
-  // re-run is idempotent — bind-time checks exclude multiset heads).
+  // application (tuples the VM already emitted are deduplicated by the
+  // head relation or the worker buffer, so the re-run is idempotent —
+  // bind-time checks exclude multiset heads).
   if (const VmBoundRule* vb =
           VmRuleFor(scc_idx, v.evaluate_once, version_idx)) {
-    struct Sink : vm::TupleSink {
-      MaterializedInstance* self;
-      PredRef head;
-      HashRelation* hrel;  // non-null: skip the per-solution PredRef lookup
-      bool Emit(const Tuple* t) override {
-        if (hrel != nullptr) {
-          if (!hrel->Insert(t)) return false;
-          ++self->stats_.inserts;
-          return true;
-        }
-        return self->HeadInsert(head, t);
-      }
-    } sink;
-    sink.self = this;
-    sink.head = rule.head.pred_ref();
-    // The head relation was resolved once at bind time; re-resolving it by
-    // PredRef hash on every solution showed up in profiles. Tracing still
-    // needs HeadInsert's event emission, and ordered-search modules never
-    // compile, so the staging intercept is unreachable here.
-    sink.hrel = trace_ == nullptr ? vb->head : nullptr;
     vm::RunInput in;
     in.prog = vb->prog;
     in.rels = vb->rels;
     in.hash_rels = vb->hash_rels;
     in.windows = windows;
     in.factory = db_->factory();
+    if (plit >= 0) {
+      in.part_lit = plit;
+      in.part_col = part.col;
+      in.part_index = part_index;
+      in.part_count = part_count;
+    }
     vm::RunStats rst;
-    vm::RunResult r = vm::Execute(in, &sink, &rst);
+    vm::RunResult r = vm::Execute(in, sink, &rst);
     obs::VmCounters* vc = db_->vm_counters();
     vc->applications.fetch_add(1, std::memory_order_relaxed);
     FlushVmOps(vc, rst.ops);
+    // Inserts made before a fallback stay, and the interpreter's re-run
+    // sees them as duplicates, so they must count as a change here.
+    changed = rst.changed;
     if (r == vm::RunResult::kOk) {
-      stats_.solutions += rst.solutions;
-      changed = rst.changed;
+      stats->solutions += rst.solutions;
       probes = rst.tuples;
       obs_derived = rst.solutions;
       vm_done = true;
@@ -228,28 +344,29 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
   }
 
   if (!vm_done) {
-    BindEnv* env =
-        EnvFor(scc_idx, v.evaluate_once, version_idx, rule.var_count);
-
+    BindEnv env(rule.var_count);
     std::vector<std::unique_ptr<GoalSource>> sources;
     sources.reserve(rule.body.size());
     for (size_t i = 0; i < rule.body.size(); ++i) {
       const Literal& lit = rule.body[i];
       auto [from, to] = windows[i];
-      CORAL_ASSIGN_OR_RETURN(std::unique_ptr<GoalSource> src,
-                             MakeSource(&lit, env, from, to));
+      CORAL_ASSIGN_OR_RETURN(
+          std::unique_ptr<GoalSource> src,
+          MakeSource(&lit, &env, from, to,
+                     static_cast<int>(i) == plit ? part : PartitionSpec{}));
       sources.push_back(std::move(src));
     }
 
     RuleCursor cursor(std::move(sources), v.backtrack,
-                      decl_->intelligent_backtracking, &trail_);
+                      decl_->intelligent_backtracking, trail);
     Status inner;
 
     if (v.is_aggregate) {
-      const AggHeadSpec* spec = AggSpecFor(v.rule_index);
-      GroupAccumulator acc(spec, env, db_->factory());
+      // One accumulator over all body solutions; parallel_safe_ keeps
+      // aggregate versions off the workers.
+      GroupAccumulator acc(AggSpecFor(v.rule_index), &env, db_->factory());
       while (cursor.Next()) {
-        ++stats_.solutions;
+        ++stats->solutions;
         inner = acc.Feed();
         if (!inner.ok()) break;
       }
@@ -258,21 +375,21 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
       CORAL_RETURN_IF_ERROR(cursor.status());
       CORAL_ASSIGN_OR_RETURN(std::vector<const Tuple*> tuples, acc.Finish());
       obs_derived = tuples.size();
-      PredRef head = rule.head.pred_ref();
-      for (const Tuple* t : tuples) changed |= HeadInsert(head, t);
+      for (const Tuple* t : tuples) changed |= sink->Emit(t);
     } else {
       PredRef head = rule.head.pred_ref();
       std::vector<TermRef> head_refs(rule.head.args.size());
       while (cursor.Next()) {
-        ++stats_.solutions;
+        ++stats->solutions;
         for (size_t i = 0; i < rule.head.args.size(); ++i) {
-          head_refs[i] = {rule.head.args[i], env};
+          head_refs[i] = {rule.head.args[i], &env};
         }
         const Tuple* t = ResolveTuple(head_refs, db_->factory());
-        bool inserted = HeadInsert(head, t);
+        bool inserted = sink->Emit(t);
         changed |= inserted;
         if (inserted && decl_->explain) {
-          // Explanation tool: record which body facts produced the head.
+          // Explanation tool: record which body facts produced the head
+          // (sequential only: parallel_safe_ excludes @explain).
           Derivation d;
           d.head_pred = head;
           d.head = t;
@@ -287,7 +404,7 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
             }
             std::vector<TermRef> refs;
             refs.reserve(lit.args.size());
-            for (const Arg* a : lit.args) refs.push_back({a, env});
+            for (const Arg* a : lit.args) refs.push_back({a, &env});
             d.body.emplace_back(lit.pred_ref(),
                                 ResolveTuple(refs, db_->factory()));
           }
@@ -296,26 +413,32 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
       }
       cursor.UndoAll();
       CORAL_RETURN_IF_ERROR(cursor.status());
-      obs_derived = stats_.solutions - obs_sols0;  // one head tuple each
+      obs_derived = stats->solutions - obs_sols0;  // one head tuple each
     }
     probes = cursor.probes();
   }
 
   if (rs != nullptr) {
+    // Disjoint covering partitions make the worker sums of solutions and
+    // derived thread-count invariant; probes are exact but
+    // schedule-dependent (see RuleStats). Worker sinks insert nothing:
+    // the merge barrier counts their inserts.
     rs->probes.fetch_add(probes, std::memory_order_relaxed);
-    rs->solutions.fetch_add(stats_.solutions - obs_sols0,
+    rs->solutions.fetch_add(stats->solutions - obs_sols0,
                             std::memory_order_relaxed);
     rs->derived.fetch_add(obs_derived, std::memory_order_relaxed);
-    rs->inserted.fetch_add(stats_.inserts - obs_ins0,
+    rs->inserted.fetch_add(stats->inserts - obs_ins0,
                            std::memory_order_relaxed);
   }
-  if (trace_ != nullptr) {
+  // Rule-fire events come from sequential applications only; a parallel
+  // iteration reports its merged inserts instead.
+  if (trace_ != nullptr && part_count == 1) {
     obs::TraceEvent ev;
     ev.kind = obs::TraceKind::kRuleFire;
     ev.module = decl_->name;
     ev.scc = static_cast<int32_t>(scc_idx);
     ev.rule = static_cast<int32_t>(v.rule_index);
-    ev.count = stats_.solutions - obs_sols0;
+    ev.count = stats->solutions - obs_sols0;
     trace_->Emit(ev);
   }
 
@@ -341,180 +464,6 @@ size_t MaterializedInstance::EffectiveThreads() const {
   return static_cast<size_t>(n);
 }
 
-Status MaterializedInstance::ApplyVersionPartitioned(
-    size_t scc_idx, const RuleVersion& v, bool naive_override,
-    const std::unordered_map<PredRef, Mark, PredRefHash>* cur,
-    uint32_t part_index, uint32_t part_count, Trail* trail,
-    InsertBuffer* buffer, EvalStats* stats) {
-  const Rule& rule = prog_->rules[v.rule_index];
-
-  // Empty-delta short circuit, exactly as in ApplyVersion.
-  if (v.delta_pos >= 0 && !naive_override) {
-    PredRef dpred = rule.body[v.delta_pos].pred_ref();
-    auto [dfrom, dto] = WindowFor(scc_idx, dpred, RangeSel::kDelta, cur);
-    if (dfrom >= dto) return Status::OK();
-    Relation* drel = internal(dpred);
-    if (drel != nullptr) {
-      std::unique_ptr<TupleIterator> probe = drel->ScanRange(dfrom, dto);
-      if (probe->Next() == nullptr) return Status::OK();
-    }
-  }
-
-  // The partitioned literal: the delta scan when it is a positive internal
-  // literal, else the first positive internal literal. Partitioning any
-  // single body scan splits the rule's solution set into disjoint,
-  // covering shares, so each derivation is produced by exactly one worker.
-  // A rule with an all-external body is evaluated whole by worker 0.
-  int plit = -1;
-  if (v.delta_pos >= 0 && !rule.body[v.delta_pos].negated &&
-      internal(rule.body[v.delta_pos].pred_ref()) != nullptr) {
-    plit = v.delta_pos;
-  } else {
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      const Literal& lit = rule.body[i];
-      if (!lit.negated && internal(lit.pred_ref()) != nullptr) {
-        plit = static_cast<int>(i);
-        break;
-      }
-    }
-  }
-  if (plit < 0 && part_index != 0) return Status::OK();
-
-  // Partition column: the first argument of the partitioned literal that
-  // is a join argument — non-ground, with every variable bound by an
-  // earlier positive literal — so one subgoal's probes stay on one
-  // worker. Constants are degenerate keys (every matching tuple hashes
-  // alike); no join argument falls back to the whole-tuple hash.
-  PartitionSpec part;
-  if (plit >= 0 && part_count > 1) {
-    std::set<uint32_t> bound;
-    for (int i = 0; i < plit; ++i) {
-      const Literal& lit = rule.body[i];
-      if (lit.negated) continue;
-      std::set<uint32_t> vars = VarsOfLiteral(lit);
-      bound.insert(vars.begin(), vars.end());
-    }
-    static const std::set<uint32_t> kNoVars;
-    const Literal& p = rule.body[plit];
-    int col = -1;
-    for (uint32_t c = 0; c < p.args.size(); ++c) {
-      if (TermBound(p.args[c], bound) && !TermBound(p.args[c], kNoVars)) {
-        col = static_cast<int>(c);
-        break;
-      }
-    }
-    part = PartitionSpec{col, part_index, part_count};
-  }
-
-  // Per-literal mark windows, shared by the VM and the interpreter.
-  std::vector<std::pair<Mark, Mark>> windows(rule.body.size(),
-                                             {Mark{0}, kMaxMark});
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    const Literal& lit = rule.body[i];
-    if (lit.negated || internal(lit.pred_ref()) == nullptr) continue;
-    RangeSel sel = naive_override ? RangeSel::kFull : v.ranges[i];
-    windows[i] = WindowFor(scc_idx, lit.pred_ref(), sel, cur);
-  }
-
-  // Join bytecode first. The worker sink buffers exactly as the
-  // interpreted worker loop does; on kFallback the interpreter below
-  // re-runs the whole partition — buffered repeats are deduplicated in
-  // the buffer and again by Insert at the merge barrier.
-  if (const VmBoundRule* vb = VmRuleFor(scc_idx, v.evaluate_once,
-                                        VersionIndex(scc_idx, v))) {
-    struct Sink : vm::TupleSink {
-      HashRelation* hrel = nullptr;
-      InsertBuffer* buffer = nullptr;
-      bool Emit(const Tuple* t) override {
-        // Contains is a pure read on the frozen relation (bind-time
-        // checks exclude multiset and aggregate-selection heads).
-        if (hrel->Contains(t)) return false;
-        buffer->Add(hrel, t, /*dedup=*/true);
-        return false;
-      }
-    } sink;
-    sink.hrel = vb->head;
-    sink.buffer = buffer;
-    vm::RunInput in;
-    in.prog = vb->prog;
-    in.rels = vb->rels;
-    in.hash_rels = vb->hash_rels;
-    in.windows = windows;
-    in.factory = db_->factory();
-    if (plit >= 0 && part_count > 1) {
-      in.part_lit = plit;
-      in.part_col = part.col;
-      in.part_index = part_index;
-      in.part_count = part_count;
-    }
-    vm::RunStats rst;
-    vm::RunResult r = vm::Execute(in, &sink, &rst);
-    obs::VmCounters* vc = db_->vm_counters();
-    vc->applications.fetch_add(1, std::memory_order_relaxed);
-    FlushVmOps(vc, rst.ops);
-    if (r == vm::RunResult::kOk) {
-      stats->solutions += rst.solutions;
-      if (profile_ != nullptr) {
-        obs::RuleStats& rstats = profile_->rule(v.rule_index);
-        rstats.probes.fetch_add(rst.tuples, std::memory_order_relaxed);
-        rstats.solutions.fetch_add(rst.solutions,
-                                   std::memory_order_relaxed);
-        rstats.derived.fetch_add(rst.solutions, std::memory_order_relaxed);
-      }
-      return Status::OK();
-    }
-    vc->runtime_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Worker-private environment and trail: the shared EnvFor slots exist to
-  // recycle allocations across iterations, which workers must not share.
-  BindEnv env(rule.var_count);
-  std::vector<std::unique_ptr<GoalSource>> sources;
-  sources.reserve(rule.body.size());
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    const Literal& lit = rule.body[i];
-    auto [from, to] = windows[i];
-    CORAL_ASSIGN_OR_RETURN(
-        std::unique_ptr<GoalSource> src,
-        MakeSource(&lit, &env, from, to,
-                   static_cast<int>(i) == plit ? part : PartitionSpec{}));
-    sources.push_back(std::move(src));
-  }
-
-  RuleCursor cursor(std::move(sources), v.backtrack,
-                    decl_->intelligent_backtracking, trail);
-  PredRef head = rule.head.pred_ref();
-  auto* hrel = static_cast<HashRelation*>(internal(head));
-  CORAL_CHECK(hrel != nullptr) << head.ToString();
-  // Contains is a pure read, so workers may pre-filter duplicates against
-  // the (frozen) relation — but only when Insert would do nothing more
-  // than that same duplicate check.
-  const bool prefilter = !hrel->multiset() && hrel->selections().empty();
-  std::vector<TermRef> head_refs(rule.head.args.size());
-  uint64_t sols = 0;
-  while (cursor.Next()) {
-    ++sols;
-    for (size_t i = 0; i < rule.head.args.size(); ++i) {
-      head_refs[i] = {rule.head.args[i], &env};
-    }
-    const Tuple* t = ResolveTuple(head_refs, db_->factory());
-    if (prefilter && hrel->Contains(t)) continue;
-    buffer->Add(hrel, t, !hrel->multiset());
-  }
-  stats->solutions += sols;
-  if (profile_ != nullptr) {
-    // Worker-side counters: disjoint covering partitions make the sums
-    // of solutions/derived thread-count invariant; probes are exact but
-    // schedule-dependent (see RuleStats).
-    obs::RuleStats& rstats = profile_->rule(v.rule_index);
-    rstats.probes.fetch_add(cursor.probes(), std::memory_order_relaxed);
-    rstats.solutions.fetch_add(sols, std::memory_order_relaxed);
-    rstats.derived.fetch_add(sols, std::memory_order_relaxed);
-  }
-  cursor.UndoAll();
-  return cursor.status();
-}
-
 Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
                                                   bool* changed,
                                                   size_t nthreads) {
@@ -526,7 +475,7 @@ Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
   // worker reads are bounded by this snapshot and all worker derivations
   // go to buffers, so relations are immutable for the whole parallel
   // phase; rule applications commute.
-  std::unordered_map<PredRef, Mark, PredRefHash> cur;
+  MarkMap cur;
   cur.reserve(internal_.size());
   for (auto& [pred, rel] : internal_) cur[pred] = rel->Snapshot();
 
@@ -538,15 +487,6 @@ Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
   for (const RuleVersion& v : plan.versions) {
     if (naive && !seen.insert(v.rule_index).second) continue;
     (v.is_aggregate ? agg_versions : par_versions).push_back(&v);
-  }
-
-  // Rule applications are counted by the driver, once per version per
-  // iteration, matching the sequential engine's per-call count.
-  if (profile_ != nullptr) {
-    for (const RuleVersion* v : par_versions) {
-      profile_->rule(v->rule_index)
-          .applications.fetch_add(1, std::memory_order_relaxed);
-    }
   }
 
   // One buffer per (worker, version): merging version-major below keeps
@@ -578,10 +518,16 @@ Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
     Worker& wk = workers[w];
     const uint64_t t0 = timing ? NowNs() : 0;
     for (size_t vi = 0; vi < par_versions.size(); ++vi) {
-      wk.status = ApplyVersionPartitioned(
-          scc_idx, *par_versions[vi], naive, &cur, static_cast<uint32_t>(w),
-          static_cast<uint32_t>(nthreads), &wk.trail, &wk.buffers[vi],
-          &wk.stats);
+      const RuleVersion& v = *par_versions[vi];
+      WorkerBufferSink sink(
+          static_cast<HashRelation*>(
+              internal(prog_->rules[v.rule_index].head.pred_ref())),
+          &wk.buffers[vi]);
+      wk.status = ApplyVersion(scc_idx, v, naive, &cur,
+                               static_cast<uint32_t>(w),
+                               static_cast<uint32_t>(nthreads), &wk.trail,
+                               &wk.stats, &sink)
+                      .status();
       if (!wk.status.ok()) break;
     }
     if (timing) wk.ns = NowNs() - t0;
@@ -626,7 +572,7 @@ Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
   }
 
   for (const RuleVersion* v : agg_versions) {
-    CORAL_ASSIGN_OR_RETURN(bool c, ApplyVersion(scc_idx, *v, naive, &cur));
+    CORAL_ASSIGN_OR_RETURN(bool c, ApplyDirect(scc_idx, *v, naive, &cur));
     *changed |= c;
   }
 
@@ -636,7 +582,7 @@ Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
 
 Status MaterializedInstance::RunOnceRules(size_t scc_idx) {
   for (const RuleVersion& v : prog_->seminaive.sccs[scc_idx].once) {
-    CORAL_RETURN_IF_ERROR(ApplyVersion(scc_idx, v, false, nullptr).status());
+    CORAL_RETURN_IF_ERROR(ApplyDirect(scc_idx, v, false, nullptr).status());
   }
   return Status::OK();
 }
@@ -648,7 +594,7 @@ Status MaterializedInstance::RunIteration(size_t scc_idx, bool* changed) {
 
   if (kind == FixpointKind::kPredicateSemiNaive) {
     for (const RuleVersion& v : plan.versions) {
-      CORAL_ASSIGN_OR_RETURN(bool c, ApplyVersion(scc_idx, v, false, nullptr));
+      CORAL_ASSIGN_OR_RETURN(bool c, ApplyDirect(scc_idx, v, false, nullptr));
       *changed |= c;
     }
     return Status::OK();
@@ -662,7 +608,7 @@ Status MaterializedInstance::RunIteration(size_t scc_idx, bool* changed) {
     return RunIterationParallel(scc_idx, changed, nthreads);
   }
 
-  std::unordered_map<PredRef, Mark, PredRefHash> cur;
+  MarkMap cur;
   cur.reserve(internal_.size());
   for (auto& [pred, rel] : internal_) cur[pred] = rel->Snapshot();
 
@@ -671,14 +617,14 @@ Status MaterializedInstance::RunIteration(size_t scc_idx, bool* changed) {
     std::unordered_set<uint32_t> seen;
     for (const RuleVersion& v : plan.versions) {
       if (!seen.insert(v.rule_index).second) continue;
-      CORAL_ASSIGN_OR_RETURN(bool c, ApplyVersion(scc_idx, v, true, &cur));
+      CORAL_ASSIGN_OR_RETURN(bool c, ApplyDirect(scc_idx, v, true, &cur));
       *changed |= c;
     }
     return Status::OK();
   }
 
   for (const RuleVersion& v : plan.versions) {
-    CORAL_ASSIGN_OR_RETURN(bool c, ApplyVersion(scc_idx, v, false, &cur));
+    CORAL_ASSIGN_OR_RETURN(bool c, ApplyDirect(scc_idx, v, false, &cur));
     *changed |= c;
   }
   prev_marks_[scc_idx] = std::move(cur);

@@ -83,19 +83,6 @@ Relation* MaterializedInstance::answer_relation() const {
   return internal(prog_->answer_pred);
 }
 
-BindEnv* MaterializedInstance::EnvFor(size_t scc_idx, bool once, size_t idx,
-                                      uint32_t var_count) {
-  auto& table = once ? once_envs_ : version_envs_;
-  auto& slot = table[scc_idx][idx];
-  if (slot == nullptr) {
-    slot = std::make_unique<BindEnv>(var_count);
-  } else {
-    slot->EnsureSize(var_count);
-    slot->ClearAll();
-  }
-  return slot.get();
-}
-
 const AggHeadSpec* MaterializedInstance::AggSpecFor(uint32_t rule_index) {
   auto it = agg_specs_.find(rule_index);
   if (it == agg_specs_.end()) {
@@ -282,13 +269,9 @@ Status MaterializedInstance::Init() {
   size_t n_sccs = prog_->seminaive.sccs.size();
   prev_marks_.resize(n_sccs);
   psn_marks_.resize(n_sccs);
-  version_envs_.resize(n_sccs);
-  once_envs_.resize(n_sccs);
   once_done_.assign(n_sccs, false);
   for (size_t s = 0; s < n_sccs; ++s) {
     psn_marks_[s].assign(prog_->seminaive.sccs[s].versions.size(), 0);
-    version_envs_[s].resize(prog_->seminaive.sccs[s].versions.size());
-    once_envs_[s].resize(prog_->seminaive.sccs[s].once.size());
   }
 
   // Join bytecode: bind compiled rule versions to this activation's

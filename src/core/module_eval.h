@@ -141,14 +141,37 @@ class MaterializedInstance {
   Status RunIterationObserved(size_t scc_idx, bool* changed);
 
   // --- fixpoint engine (fixpoint.cc) ---
+  /// Per-predicate marks: an iteration-start snapshot or the previous one.
+  using MarkMap = std::unordered_map<PredRef, Mark, PredRefHash>;
+  class DirectInsertSink;
+
   Status RunOnceRules(size_t scc_idx);
   Status RunIteration(size_t scc_idx, bool* changed);
   /// Runs every SCC to a local fixpoint once; used by Ordered Search.
   Status RunGlobalPass(bool* changed);
+  /// The one rule-application path (paper §4.2, §5.3). Applies version
+  /// `v` over the mark windows of `cur` (null: PSN and once rules; see
+  /// WindowFor), on the VM when a program is bound and through the
+  /// interpreter otherwise or on kFallback, and hands every derived head
+  /// tuple to `sink`. Parallel workers pass their share of a partitioned
+  /// body scan (part_index < part_count) and their own trail and stats;
+  /// sequential callers go through ApplyDirect. Returns whether any Emit
+  /// reported a change.
   StatusOr<bool> ApplyVersion(size_t scc_idx, const RuleVersion& v,
-                              bool naive_override,
-                              const std::unordered_map<PredRef, Mark,
-                                                       PredRefHash>* cur);
+                              bool naive_override, const MarkMap* cur,
+                              uint32_t part_index, uint32_t part_count,
+                              Trail* trail, EvalStats* stats,
+                              vm::TupleSink* sink);
+  /// ApplyVersion, unpartitioned, on this instance's trail and stats,
+  /// inserting heads directly (DirectInsertSink).
+  StatusOr<bool> ApplyDirect(size_t scc_idx, const RuleVersion& v,
+                             bool naive_override, const MarkMap* cur);
+  /// The body literal a worker's share is cut on: the delta scan when it
+  /// is a positive internal literal, else the first positive internal
+  /// literal; -1 when there is none. Fills `part` with its key column.
+  int PartitionFor(const Rule& rule, const RuleVersion& v,
+                   uint32_t part_index, uint32_t part_count,
+                   PartitionSpec* part) const;
   StatusOr<std::unique_ptr<GoalSource>> MakeSource(const Literal* lit,
                                                    BindEnv* env, Mark from,
                                                    Mark to,
@@ -166,21 +189,9 @@ class MaterializedInstance {
   /// so rule applications are data-independent within the iteration.
   Status RunIterationParallel(size_t scc_idx, bool* changed,
                               size_t nthreads);
-  /// Worker body: one non-aggregate rule version on one delta partition;
-  /// derivations land in `buffer`, never in the relations. trail/stats
-  /// are worker-local.
-  Status ApplyVersionPartitioned(
-      size_t scc_idx, const RuleVersion& v, bool naive_override,
-      const std::unordered_map<PredRef, Mark, PredRefHash>* cur,
-      uint32_t part_index, uint32_t part_count, Trail* trail,
-      InsertBuffer* buffer, EvalStats* stats);
   std::pair<Mark, Mark> WindowFor(size_t scc_idx, const PredRef& pred,
-                                  RangeSel sel,
-                                  const std::unordered_map<PredRef, Mark,
-                                                           PredRefHash>* cur);
+                                  RangeSel sel, const MarkMap* cur);
   bool HeadInsert(const PredRef& pred, const Tuple* t);
-  BindEnv* EnvFor(size_t scc_idx, bool once, size_t idx,
-                  uint32_t var_count);
   const AggHeadSpec* AggSpecFor(uint32_t rule_index);
   Relation* staging(const PredRef& magic_pred) const;
 
@@ -226,12 +237,10 @@ class MaterializedInstance {
   std::vector<const Tuple*> pending_seeds_;  // Ordered Search seeds
 
   // Per-SCC previous marks (BSN) and per-version marks (PSN).
-  std::vector<std::unordered_map<PredRef, Mark, PredRefHash>> prev_marks_;
+  std::vector<MarkMap> prev_marks_;
   std::vector<std::vector<Mark>> psn_marks_;
 
-  // Cached rule environments and aggregation specs.
-  std::vector<std::vector<std::unique_ptr<BindEnv>>> version_envs_;
-  std::vector<std::vector<std::unique_ptr<BindEnv>>> once_envs_;
+  // Cached aggregation specs.
   std::unordered_map<uint32_t, AggHeadSpec> agg_specs_;
 
   // Incremental-maintenance state (maintenance.cc). Support counts map

@@ -1,41 +1,17 @@
 #include "src/obs/storage_metrics.h"
 
-#include <cstdio>
+#include "src/util/json_escape.h"
 
 namespace coral::obs {
 
-namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string RecoveryEvent::ToJson() const {
-  std::string out = "{\"ev\":";
-  AppendEscaped(what, &out);
+  std::string out = "{\"ev\":\"";
+  AppendJsonEscaped(what, &out);
+  out.push_back('"');
   if (!detail.empty()) {
-    out += ",\"detail\":";
-    AppendEscaped(detail, &out);
+    out += ",\"detail\":\"";
+    AppendJsonEscaped(detail, &out);
+    out.push_back('"');
   }
   if (count != 0) {
     out += ",\"count\":" + std::to_string(count);

@@ -3,32 +3,18 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "src/util/json_escape.h"
+
 namespace coral::obs {
 namespace {
 
-// A minimal JSON writer/reader for the flat TraceEvent schema. We keep
-// this local instead of pulling in a JSON library: events have only
-// string and unsigned fields, one object per line.
+// A minimal JSON writer/reader for the flat TraceEvent schema: events
+// have only string and unsigned fields, one object per line.
 
-void AppendEscaped(const std::string& s, std::string* out) {
+// Appends `s` as a quoted JSON string.
+void AppendQuoted(std::string_view s, std::string* out) {
   out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
+  AppendJsonEscaped(s, out);
   out->push_back('"');
 }
 
@@ -37,16 +23,16 @@ void AppendField(const char* key, const std::string& value, bool* first,
   if (value.empty()) return;
   *out += *first ? "" : ",";
   *first = false;
-  AppendEscaped(key, out);
+  AppendQuoted(key, out);
   out->push_back(':');
-  AppendEscaped(value, out);
+  AppendQuoted(value, out);
 }
 
 void AppendField(const char* key, uint64_t value, bool* first,
                  std::string* out) {
   *out += *first ? "" : ",";
   *first = false;
-  AppendEscaped(key, out);
+  AppendQuoted(key, out);
   out->push_back(':');
   *out += std::to_string(value);
 }

@@ -1,7 +1,7 @@
 #include "src/server/json.h"
 
 #include <cctype>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 
 namespace coral::server {
@@ -199,32 +199,20 @@ class Parser {
 
 }  // namespace
 
-StatusOr<JsonValue> ParseJson(std::string_view text) {
-  return Parser(text).Parse();
+StatusOr<int64_t> JsonValue::AsInt() const {
+  // 2^63 is exact as a double; int64_t covers [-2^63, 2^63).
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!is_number() || !std::isfinite(number) ||
+      number != std::trunc(number) || number < -kLimit ||
+      number >= kLimit) {
+    return Status::InvalidArgument(
+        "json: expected an integer in int64 range");
+  }
+  return static_cast<int64_t>(number);
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
+StatusOr<JsonValue> ParseJson(std::string_view text) {
+  return Parser(text).Parse();
 }
 
 }  // namespace coral::server

@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/json_escape.h"
 #include "src/util/status.h"
 
 namespace coral::server {
@@ -45,20 +46,25 @@ struct JsonValue {
     const JsonValue* v = Find(key);
     return v != nullptr && v->is_string() ? v->string_value : fallback;
   }
-  /// Member as integer with default.
+  /// This number as an integer. Wire numbers are untrusted: a value that
+  /// is not a number, not finite, not integral or outside int64_t's range
+  /// is InvalidArgument (casting it would be undefined behaviour).
+  StatusOr<int64_t> AsInt() const;
+  /// Member as integer with default; the default also stands in for a
+  /// member AsInt rejects.
   int64_t GetInt(const std::string& key, int64_t fallback = 0) const {
     const JsonValue* v = Find(key);
-    return v != nullptr && v->is_number()
-               ? static_cast<int64_t>(v->number)
-               : fallback;
+    if (v == nullptr) return fallback;
+    StatusOr<int64_t> n = v->AsInt();
+    return n.ok() ? *n : fallback;
   }
 };
 
 /// Parses one JSON document; trailing garbage is an error.
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes).
-std::string JsonEscape(std::string_view s);
+/// The shared escaper (src/util/json_escape.h), under its wire name.
+using ::coral::JsonEscape;
 
 /// Incremental flat-object builder for responses.
 class JsonWriter {
@@ -67,7 +73,7 @@ class JsonWriter {
   JsonWriter& Field(std::string_view key, std::string_view value) {
     Key(key);
     out_ += '"';
-    out_ += JsonEscape(value);
+    AppendJsonEscaped(value, &out_);
     out_ += '"';
     return *this;
   }
@@ -116,7 +122,7 @@ class JsonWriter {
   void Key(std::string_view key) {
     if (out_.size() > 1) out_ += ',';
     out_ += '"';
-    out_ += JsonEscape(key);
+    AppendJsonEscaped(key, &out_);
     out_ += "\":";
   }
   std::string out_;

@@ -84,15 +84,31 @@ std::string ClientSession::Handle(const std::string& line) {
       return ErrorResponse(
           Status::InvalidArgument("bind op needs \"name\" and \"value\""));
     }
-    std::string text = value->is_string()
-                           ? value->string_value
-                           : std::to_string(static_cast<int64_t>(
-                                 value->number));
+    std::string text;
+    if (value->is_string()) {
+      text = value->string_value;
+    } else {
+      StatusOr<int64_t> n = value->AsInt();
+      if (!n.ok()) {
+        ctx_->metrics->RecordError();
+        return ErrorResponse(n.status());
+      }
+      text = std::to_string(*n);
+    }
     session_.Bind(name, text);
     return JsonWriter().Field("ok", true).Build();
   }
   if (op == "deadline") {
-    session_.set_deadline_ms(req.GetInt("ms", 0));
+    int64_t ms = 0;
+    if (const JsonValue* v = req.Find("ms")) {
+      StatusOr<int64_t> n = v->AsInt();
+      if (!n.ok()) {
+        ctx_->metrics->RecordError();
+        return ErrorResponse(n.status());
+      }
+      ms = *n;
+    }
+    session_.set_deadline_ms(ms);
     return JsonWriter()
         .Field("ok", true)
         .Field("deadline_ms", session_.deadline_ms())

@@ -151,6 +151,39 @@ TEST_F(ProtocolTest, QueryConsultBindRoundTrip) {
   EXPECT_GE(metrics_.errors(), 1u);
 }
 
+TEST_F(ProtocolTest, RejectsWireNumbersThatAreNotInt64) {
+  // Casting these doubles to int64_t would be undefined behaviour: inf,
+  // out of range, and (silently truncated) non-integral.
+  ClientSession session(&ctx_);
+  for (const char* req : {R"({"op":"deadline","ms":1e999})",
+                          R"({"op":"deadline","ms":1e300})",
+                          R"({"op":"bind","name":"x","value":2.5})",
+                          R"({"op":"bind","name":"x","value":1e300})"}) {
+    std::string resp = session.Handle(req);
+    EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << req;
+    EXPECT_NE(resp.find("\"code\":\"InvalidArgument\""), std::string::npos)
+        << req << " -> " << resp;
+  }
+  EXPECT_EQ(metrics_.errors(), 4u);
+}
+
+TEST_F(ProtocolTest, HugeDeadlineSaturates) {
+  // 9e18 ms is a valid int64 but overflows as nanoseconds; the deadline
+  // saturates to "never" and the next query runs.
+  ClientSession session(&ctx_);
+  std::string consult = session.Handle(
+      R"({"op":"consult","program":"edge(1, 2).\nedge(1, 3).\n"})");
+  EXPECT_NE(consult.find("\"ok\":true"), std::string::npos) << consult;
+  std::string deadline =
+      session.Handle(R"({"op":"deadline","ms":9e18})");
+  EXPECT_NE(deadline.find("\"deadline_ms\":9000000000000000000"),
+            std::string::npos)
+      << deadline;
+  std::string query = session.Handle(R"({"op":"query","q":"?- edge(1, X)."})");
+  EXPECT_NE(query.find("\"ok\":true"), std::string::npos) << query;
+  EXPECT_NE(query.find("\"count\":2"), std::string::npos) << query;
+}
+
 // ---- full server over loopback --------------------------------------------
 
 int ConnectLoopback(int port) {

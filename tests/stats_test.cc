@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -104,26 +105,43 @@ class StatsTest : public ::testing::Test {
   Database db;
 };
 
-TEST_F(StatsTest, TcCountersExactSerial) {
-  Load(std::string(kChainFacts) + TcModule("@profile.\n"));
-  EXPECT_EQ(Count("tc(X, Y)"), 10u);
-  CheckTcProfile(db.stats()->Find("tcmod"), /*parallel=*/false);
-}
+// The exact counters hold on every rule-application path: join bytecode
+// and the interpreter, each sequential and with four workers. The
+// thread-count-invariant counters (applications, solutions, derived,
+// inserted, duplicates, delta sizes) must match the serial run exactly;
+// probes and times are schedule-dependent and are not compared across
+// thread counts.
+class StatsTcPathTest
+    : public StatsTest,
+      public ::testing::WithParamInterface<std::tuple<bool, int>> {};
 
-TEST_F(StatsTest, TcCountersExactFourThreads) {
-  // The thread-count-invariant counters (applications, solutions,
-  // derived, inserted, duplicates, delta sizes) must match the serial
-  // run exactly; probes and times are schedule-dependent and are not
-  // compared across thread counts.
-  Load(std::string(kChainFacts) + TcModule("@profile.\n@parallel(4).\n"));
+TEST_P(StatsTcPathTest, TcCountersExact) {
+  const auto [use_vm, threads] = GetParam();
+  db.set_use_vm(use_vm);
+  Load(std::string(kChainFacts) +
+       TcModule(threads > 1 ? "@profile.\n@parallel(4).\n" : "@profile.\n"));
   EXPECT_EQ(Count("tc(X, Y)"), 10u);
   const obs::ModuleProfile* p = db.stats()->Find("tcmod");
-  CheckTcProfile(p, /*parallel=*/true);
-  // Parallel iterations record per-worker busy time.
-  std::vector<obs::IterationStats> iters = p->iterations();
-  ASSERT_FALSE(iters.empty());
-  EXPECT_EQ(iters[0].worker_ns.size(), 4u);
+  CheckTcProfile(p, /*parallel=*/threads > 1);
+  // The path under test really ran: the VM applied the rules without
+  // falling back, or never ran at all.
+  EXPECT_EQ(Val(db.vm_counters()->applications) > 0, use_vm);
+  EXPECT_EQ(Val(db.vm_counters()->runtime_fallbacks), 0u);
+  if (threads > 1) {
+    // Parallel iterations record per-worker busy time.
+    std::vector<obs::IterationStats> iters = p->iterations();
+    ASSERT_FALSE(iters.empty());
+    EXPECT_EQ(iters[0].worker_ns.size(), 4u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    VmAndThreads, StatsTcPathTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
+      return std::string(std::get<0>(info.param) ? "Vm" : "Interp") +
+             (std::get<1>(info.param) > 1 ? "FourThreads" : "Serial");
+    });
 
 TEST_F(StatsTest, DuplicateDerivationsAreCounted) {
   // par = {(a,b), (b,c), (a,c)}: the once pass inserts all three; the

@@ -1,7 +1,7 @@
 // Tests for the join bytecode VM (docs/VM.md): golden disassembly of the
 // canonical recursive programs, hand-stepped opcode counters, the
 // interpreter-fallback paths (aggregates, ordered search, negation,
-// @no_vm, set_use_vm), and probe-to-scan degradation when a planned
+// @no_vm, set_use_vm, run-time aborts), and probe-to-scan degradation when a planned
 // argument index is absent.
 
 #include <gtest/gtest.h>
@@ -464,6 +464,29 @@ TEST(VmFallback, ProbeDegradesToScanWithoutIndex) {
   EXPECT_EQ(Count(c.runtime_fallbacks), 0u);
   EXPECT_GT(Count(c.probe_scan_fallbacks), 0u);
   EXPECT_EQ(Count(c.probe_scan_fallbacks), Count(c.scan_full) - 1);
+}
+
+TEST(VmFallback, RuntimeFallbackKeepsInsertsAsChange) {
+  // f's non-ground fact puts tc(X, nowhere) into tc's delta. The VM
+  // inserts new pairs and then aborts on that tuple; the interpreter's
+  // re-run finds those pairs already present. The iteration must still
+  // count as a change, or the fixpoint stops short (8 answers, not 11).
+  Database db;
+  auto st = db.Consult(R"(
+    module m.
+    export tc(ff).
+    @no_rewriting.
+    tc(X, Y) :- e(X, Y).
+    tc(X, Y) :- f(X, Y).
+    tc(X, Y) :- tc(X, Z), e(Z, Y).
+    end_module.
+    e(1, 2). e(2, 3). e(3, 4). e(4, 5). f(X, nowhere).
+  )");
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  auto res = db.EvalQuery("tc(X, Y)");
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res->rows.size(), 11u);
+  EXPECT_GT(Count(db.vm_counters()->runtime_fallbacks), 0u);
 }
 
 // ---------------------------------------------------------------------
