@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <set>
+#include <tuple>
 #include <unordered_set>
 
 #include "src/core/database.h"
@@ -43,6 +44,19 @@ void FlushVmOps(obs::VmCounters* c, const vm::OpCounts& o) {
 }
 
 }  // namespace
+
+vm::RunResult MaterializedInstance::ExecuteVm(const vm::RunInput& in,
+                                              vm::TupleSink* sink,
+                                              vm::RunStats* rst) const {
+  vm::RunResult r = vm::Execute(in, sink, rst);
+  obs::VmCounters* vc = db_->vm_counters();
+  vc->applications.fetch_add(1, std::memory_order_relaxed);
+  FlushVmOps(vc, rst->ops);
+  if (r != vm::RunResult::kOk) {
+    vc->runtime_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  }
+  return r;
+}
 
 std::pair<Mark, Mark> MaterializedInstance::WindowFor(size_t scc_idx,
                                                      const PredRef& pred,
@@ -311,11 +325,15 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
   // bind-time checks exclude multiset heads).
   if (const VmBoundRule* vb =
           VmRuleFor(scc_idx, v.evaluate_once, version_idx)) {
+    std::vector<vm::LevelInput> inputs(vb->rels.size());
+    for (size_t li = 0; li < inputs.size(); ++li) {
+      inputs[li].rel = vb->rels[li];
+      std::tie(inputs[li].from, inputs[li].to) =
+          windows[vb->prog->levels[li].lit];
+    }
     vm::RunInput in;
     in.prog = vb->prog;
-    in.rels = vb->rels;
-    in.hash_rels = vb->hash_rels;
-    in.windows = windows;
+    in.levels = inputs;
     in.factory = db_->factory();
     if (plit >= 0) {
       in.part_lit = plit;
@@ -324,10 +342,7 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
       in.part_count = part_count;
     }
     vm::RunStats rst;
-    vm::RunResult r = vm::Execute(in, sink, &rst);
-    obs::VmCounters* vc = db_->vm_counters();
-    vc->applications.fetch_add(1, std::memory_order_relaxed);
-    FlushVmOps(vc, rst.ops);
+    vm::RunResult r = ExecuteVm(in, sink, &rst);
     // Inserts made before a fallback stay, and the interpreter's re-run
     // sees them as duplicates, so they must count as a change here.
     changed = rst.changed;
@@ -336,11 +351,10 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
       probes = rst.tuples;
       obs_derived = rst.solutions;
       vm_done = true;
-    } else {
-      // Discard the VM's solution count — the interpreter re-counts from
-      // scratch, so stats match an interpreter-only run exactly.
-      vc->runtime_fallbacks.fetch_add(1, std::memory_order_relaxed);
     }
+    // On kFallback the VM's solution count is discarded — the
+    // interpreter re-counts from scratch, so stats match an
+    // interpreter-only run exactly.
   }
 
   if (!vm_done) {

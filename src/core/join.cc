@@ -10,6 +10,11 @@ const Status& GoalSource::status() const {
   return kOk;
 }
 
+namespace {
+
+/// Unifies tuple arguments against literal arguments; helper shared by
+/// sources. Returns false (leaving the trail for the caller to undo) on
+/// mismatch.
 bool UnifyTupleWithLiteral(const Tuple* tuple, BindEnv* tuple_env,
                            const Literal& lit, BindEnv* env, Trail* trail) {
   CORAL_DCHECK(tuple->arity() == lit.args.size());
@@ -20,8 +25,6 @@ bool UnifyTupleWithLiteral(const Tuple* tuple, BindEnv* tuple_env,
   }
   return true;
 }
-
-namespace {
 
 std::vector<TermRef> LiteralRefs(const Literal& lit, BindEnv* env) {
   std::vector<TermRef> refs;
@@ -134,62 +137,6 @@ bool NegatedIteratorGoalSource::Next(Trail* trail) {
     return false;
   }
   return true;
-}
-
-bool TupleListGoalSource::Next(Trail* trail) {
-  trail->UndoTo(base_);
-  while (pos_ < tuples_->size()) {
-    const Tuple* t = (*tuples_)[pos_++];
-    tuple_env_.EnsureSize(t->var_count());
-    if (UnifyTupleWithLiteral(t, &tuple_env_, *lit_, env_, trail)) {
-      return true;
-    }
-    trail->UndoTo(base_);
-  }
-  return false;
-}
-
-void FilteredRelationGoalSource::DoReset() {
-  std::vector<TermRef> refs = LiteralRefs(*lit_, env_);
-  it_ = rel_->Select(refs, 0, kMaxMark);
-}
-
-bool FilteredRelationGoalSource::Next(Trail* trail) {
-  trail->UndoTo(base_);
-  if (it_ == nullptr) return false;
-  while (const Tuple* t = it_->Next()) {
-    if (exclude_ != nullptr && exclude_->count(t) > 0) continue;
-    tuple_env_.EnsureSize(t->var_count());
-    if (UnifyTupleWithLiteral(t, &tuple_env_, *lit_, env_, trail)) {
-      return true;
-    }
-    trail->UndoTo(base_);
-  }
-  return false;
-}
-
-void UnionGoalSource::DoReset() {
-  idx_ = 0;
-  if (!parts_.empty()) parts_[0]->Reset(trail_);
-}
-
-bool UnionGoalSource::Next(Trail* trail) {
-  while (idx_ < parts_.size()) {
-    GoalSource& part = *parts_[idx_];
-    if (part.Next(trail)) return true;
-    if (!part.status().ok() && status_.ok()) status_ = part.status();
-    ++idx_;
-    if (idx_ < parts_.size()) parts_[idx_]->Reset(trail);
-  }
-  return false;
-}
-
-const Status& UnionGoalSource::status() const {
-  if (!status_.ok()) return status_;
-  for (const auto& p : parts_) {
-    if (!p->status().ok()) return p->status();
-  }
-  return GoalSource::status();
 }
 
 RuleCursor::RuleCursor(std::vector<std::unique_ptr<GoalSource>> sources,

@@ -19,7 +19,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/builtins.h"
@@ -186,73 +185,6 @@ class NegatedIteratorGoalSource : public GoalSource {
   Status status_;
 };
 
-/// Unify-iterates an explicit tuple list. Incremental view maintenance
-/// (docs/MAINTENANCE.md) places delta tuple sets at chosen body positions
-/// without materializing them as relations.
-class TupleListGoalSource : public GoalSource {
- public:
-  TupleListGoalSource(const Literal* lit, BindEnv* env,
-                      const std::vector<const Tuple*>* tuples)
-      : lit_(lit), env_(env), tuples_(tuples), tuple_env_(0) {}
-
-  bool Next(Trail* trail) override;
-
- protected:
-  void DoReset() override { pos_ = 0; }
-
- private:
-  const Literal* lit_;
-  BindEnv* env_;
-  const std::vector<const Tuple*>* tuples_;
-  BindEnv tuple_env_;
-  size_t pos_ = 0;
-};
-
-/// Full-window relation scan that skips tuples in `exclude` at yield
-/// time. Maintenance uses it to evaluate a body position against the
-/// pre-update ("old") or mid-update state: the live relation minus the
-/// tuples this update inserted.
-class FilteredRelationGoalSource : public GoalSource {
- public:
-  FilteredRelationGoalSource(const Literal* lit, BindEnv* env,
-                             const Relation* rel,
-                             const std::unordered_set<const Tuple*>* exclude)
-      : lit_(lit), env_(env), rel_(rel), exclude_(exclude), tuple_env_(0) {}
-
-  bool Next(Trail* trail) override;
-
- protected:
-  void DoReset() override;
-
- private:
-  const Literal* lit_;
-  BindEnv* env_;
-  const Relation* rel_;
-  const std::unordered_set<const Tuple*>* exclude_;
-  BindEnv tuple_env_;
-  std::unique_ptr<TupleIterator> it_;
-};
-
-/// Sequential union of sub-sources: all solutions of parts[0], then
-/// parts[1], ... Maintenance uses it to scan "live union deleted" — the
-/// pre-deletion state — at non-delta body positions.
-class UnionGoalSource : public GoalSource {
- public:
-  explicit UnionGoalSource(std::vector<std::unique_ptr<GoalSource>> parts)
-      : parts_(std::move(parts)) {}
-
-  bool Next(Trail* trail) override;
-  const Status& status() const override;
-
- protected:
-  void DoReset() override;
-
- private:
-  std::vector<std::unique_ptr<GoalSource>> parts_;
-  size_t idx_ = 0;
-  Status status_;
-};
-
 /// Resumable nested-loops join over a rule body.
 class RuleCursor {
  public:
@@ -289,12 +221,6 @@ class RuleCursor {
   uint64_t probes_ = 0;
   Status status_;
 };
-
-/// Unifies tuple arguments against literal arguments; helper shared by
-/// sources. Returns false (leaving the trail for the caller to undo) on
-/// mismatch.
-bool UnifyTupleWithLiteral(const Tuple* tuple, BindEnv* tuple_env,
-                           const Literal& lit, BindEnv* env, Trail* trail);
 
 }  // namespace coral
 

@@ -16,6 +16,12 @@
 // changed base predicate are reconstructed as live \ plus ∪ minus, and
 // the half-updated ("mid") state as live \ plus. Internal relations are
 // still old until the pass itself touches them.
+//
+// Every join runs on the bytecode VM. Each rule is compiled once per
+// instance into the shapes the pass needs — body order (support
+// counting), one delta-first body per stored literal, and head-first
+// (rederivation) — and every level reads one state through a
+// vm::LevelInput: a relation, a skip-set and an extra tuple list.
 
 #include <cstdint>
 #include <memory>
@@ -26,27 +32,32 @@
 #include <vector>
 
 #include "src/core/database.h"
-#include "src/core/join.h"
 #include "src/core/module_eval.h"
 #include "src/core/module_manager.h"
 #include "src/core/update.h"
-#include "src/data/unify.h"
 #include "src/rel/hash_relation.h"
 #include "src/rel/memory_relation.h"
-#include "src/rewrite/existential.h"
 #include "src/util/logging.h"
+#include "src/vm/compiler.h"
 
 namespace coral {
 
 namespace {
 
-/// Builtins whose evaluation has side effects; re-running them during a
-/// maintenance pass would repeat the effects, so such modules fall back
-/// to invalidation.
-bool IsSideEffectingBuiltin(const std::string& name) {
-  return name == "assert" || name == "retract" || name == "write" ||
-         name == "writeln";
-}
+/// Maintenance heads are counted or collected by the caller, never a
+/// fixpoint "change".
+template <typename F>
+class CallbackSink : public vm::TupleSink {
+ public:
+  explicit CallbackSink(F* f) : f_(f) {}
+  bool Emit(const Tuple* t) override {
+    (*f_)(t);
+    return false;
+  }
+
+ private:
+  F* f_;
+};
 
 }  // namespace
 
@@ -98,8 +109,8 @@ class MaintenancePass {
   }
 
   /// True when the literal scans a stored relation (internal or base) —
-  /// as opposed to a builtin. CanMaintain already excluded negation,
-  /// module calls, and side-effecting builtins.
+  /// as opposed to a builtin. CanMaintain already excluded negation and
+  /// module calls.
   bool IsStored(const Literal& lit) const {
     PredRef p = lit.pred_ref();
     if (inst_->internal(p) != nullptr) return true;
@@ -147,34 +158,46 @@ class MaintenancePass {
     return false;
   }
 
-  StatusOr<std::unique_ptr<GoalSource>> MakeStateSource(const Literal* lit,
-                                                        BindEnv* env,
-                                                        BodyState state);
+  /// What one body level reads in `state`.
+  vm::LevelInput StateInput(const PredRef& p, BodyState state) {
+    vm::LevelInput in;
+    in.rel = StoredRel(p);
+    PredDelta* d = FindDelta(p);
+    if (state == BodyState::kNew || d == nullptr) return in;
+    if (!d->plus_set.empty()) in.skip = &d->plus_set;
+    if (state == BodyState::kOld && !d->minus.empty()) in.extra = &d->minus;
+    return in;
+  }
 
-  using HeadFn = std::function<Status(const Tuple*)>;
+  using MaintProgram = MaterializedInstance::MaintProgram;
 
-  /// Evaluates `rule` with body position `delta_pos` iterating `dlist`,
-  /// positions before it in `before` state and after it in `after` state
-  /// (the standard delta-join decomposition; delta_pos == -1 evaluates
-  /// every position in `after`). Calls `on_head` with the resolved ground
-  /// head tuple of each body solution.
-  Status EvalRule(const Rule& rule, int delta_pos,
-                  const std::vector<const Tuple*>* dlist, BodyState before,
-                  BodyState after, const HeadFn& on_head);
+  /// Runs one compiled maintenance join: its leading list level (if any)
+  /// iterates `list`, body positions before `delta_pos` read `before` and
+  /// the others `after` (the standard delta-join decomposition; -1 reads
+  /// every position in `after`). Calls `on_head` with each derived head.
+  template <typename F>
+  Status Join(const MaintProgram& mp, int delta_pos,
+              const std::vector<const Tuple*>* list, BodyState before,
+              BodyState after, F on_head);
+
+  /// Compiles every rule's maintenance programs and creates their probe
+  /// indexes, once per instance. Unsupported when a rule shape is
+  /// outside the VM model (a builtin other than a comparison on bound
+  /// operands, a non-ground structured argument).
+  Status CompilePrograms();
+
+  /// Creates the argument indexes the compiled joins probe with: every
+  /// PROBE_INDEX level over a stored relation requests its key columns.
+  /// The evaluation-time planned indexes cover the planned join orders
+  /// only, and a probe no index serves degenerates to a window scan —
+  /// turning every delta join O(relation).
+  void EnsureProbeIndexes(const MaintProgram& mp);
 
   /// Builds support counts for every counting SCC against the
   /// reconstructed pre-update state. Must run before the pass mutates any
   /// internal relation. Live tuples with no counted derivation (engine
   /// artifacts) are pinned.
   Status BuildCounts();
-
-  /// Creates (once per instance) the argument indexes the maintenance
-  /// joins probe with. The evaluation-time planned indexes cover the
-  /// planned join orders only; the pass's delta-first orders and the
-  /// head-bound rederivation probes Select on other column sets, and an
-  /// unindexed Select degenerates to a full scan per probe — turning
-  /// every delta join O(relation).
-  void EnsureProbeIndexes();
 
   Status ProcessCountingScc(const SccPlan& plan);
   Status ProcessRecursiveScc(size_t scc_idx);
@@ -192,145 +215,111 @@ class MaintenancePass {
   /// Pre-maintenance marks of every internal relation; the resumed
   /// fixpoint's delta windows and the final-delta scans start here.
   std::unordered_map<PredRef, Mark, PredRefHash> m0_;
-  Trail trail_;
 };
 
-void MaintenancePass::EnsureProbeIndexes() {
-  if (inst_->maintenance_indexes_built_) return;
-  inst_->maintenance_indexes_built_ = true;
-  // Requests an index on the columns of `lit` that are ground at probe
-  // time given `bound` variables: constants and fully-bound terms.
-  auto request = [&](const Literal& lit, const std::set<uint32_t>& bound) {
-    if (!IsStored(lit)) return;
-    std::vector<uint32_t> cols;
-    for (size_t k = 0; k < lit.args.size(); ++k) {
-      std::set<uint32_t> vars;
-      CollectVars(lit.args[k], &vars);
-      bool ground = true;
-      for (uint32_t v : vars) ground = ground && bound.count(v) > 0;
-      if (ground) cols.push_back(static_cast<uint32_t>(k));
-    }
-    if (cols.empty()) return;
-    auto* hr = dynamic_cast<HashRelation*>(StoredRel(lit.pred_ref()));
-    if (hr != nullptr) hr->AddArgumentIndex(std::move(cols));
-  };
-  for (const Rule& rule : prog().rules) {
-    // Delta-first orders: the delta literal binds its variables, then
-    // the remaining literals follow in body order (EvalRule).
-    for (size_t di = 0; di < rule.body.size(); ++di) {
-      if (!IsStored(rule.body[di])) continue;
-      std::set<uint32_t> bound = VarsOfLiteral(rule.body[di]);
-      for (size_t j = 0; j < rule.body.size(); ++j) {
-        if (j == di) continue;
-        request(rule.body[j], bound);
-        for (uint32_t v : VarsOfLiteral(rule.body[j])) bound.insert(v);
-      }
-    }
-    // Rederivation probes run the body in order with the head bound.
-    std::set<uint32_t> head_bound;
-    for (const Arg* a : rule.head.args) CollectVars(a, &head_bound);
-    for (const Literal& lit : rule.body) {
-      request(lit, head_bound);
-      for (uint32_t v : VarsOfLiteral(lit)) head_bound.insert(v);
-    }
-  }
-}
-
-StatusOr<std::unique_ptr<GoalSource>> MaintenancePass::MakeStateSource(
-    const Literal* lit, BindEnv* env, BodyState state) {
-  if (!IsStored(*lit)) {
-    // Builtin: state-independent.
-    return inst_->MakeSource(lit, env, 0, kMaxMark);
-  }
-  PredRef p = lit->pred_ref();
-  Relation* rel = StoredRel(p);
-  PredDelta* d = FindDelta(p);
-  const std::unordered_set<const Tuple*>* plus =
-      (d != nullptr && !d->plus_set.empty()) ? &d->plus_set : nullptr;
-  switch (state) {
-    case BodyState::kNew:
-      return std::unique_ptr<GoalSource>(
-          std::make_unique<RelationGoalSource>(lit, env, rel, 0, kMaxMark));
-    case BodyState::kMid:
-      if (plus == nullptr) {
-        return std::unique_ptr<GoalSource>(
-            std::make_unique<RelationGoalSource>(lit, env, rel, 0, kMaxMark));
-      }
-      return std::unique_ptr<GoalSource>(
-          std::make_unique<FilteredRelationGoalSource>(lit, env, rel, plus));
-    case BodyState::kOld: {
-      std::unique_ptr<GoalSource> mid;
-      if (plus == nullptr) {
-        mid = std::make_unique<RelationGoalSource>(lit, env, rel, 0, kMaxMark);
-      } else {
-        mid = std::make_unique<FilteredRelationGoalSource>(lit, env, rel, plus);
-      }
-      if (d == nullptr || d->minus.empty()) return mid;
-      std::vector<std::unique_ptr<GoalSource>> parts;
-      parts.push_back(std::move(mid));
-      parts.push_back(
-          std::make_unique<TupleListGoalSource>(lit, env, &d->minus));
-      return std::unique_ptr<GoalSource>(
-          std::make_unique<UnionGoalSource>(std::move(parts)));
-    }
-  }
-  return Status::Internal("unreachable body state");
-}
-
-Status MaintenancePass::EvalRule(const Rule& rule, int delta_pos,
-                                 const std::vector<const Tuple*>* dlist,
-                                 BodyState before, BodyState after,
-                                 const HeadFn& on_head) {
-  BindEnv env(rule.var_count);
-  // Delta-first join order: the delta list is the smallest input by far,
-  // and leading with it binds its literal's variables so the remaining
-  // positions Select with bound arguments (index probes instead of full
-  // scans — the delta-join would otherwise cost O(relation) per pass).
-  // Only the delta literal moves; the relative order of everything else
-  // is preserved, so every literal still follows its original binders
-  // (which is what keeps builtins evaluable).
-  std::vector<size_t> order;
-  order.reserve(rule.body.size());
-  if (delta_pos >= 0) order.push_back(static_cast<size_t>(delta_pos));
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    if (static_cast<int>(i) != delta_pos) order.push_back(i);
-  }
-  std::vector<std::unique_ptr<GoalSource>> sources;
-  sources.reserve(rule.body.size());
-  for (size_t i : order) {
-    const Literal& lit = rule.body[i];
-    if (static_cast<int>(i) == delta_pos) {
-      sources.push_back(
-          std::make_unique<TupleListGoalSource>(&lit, &env, dlist));
+template <typename F>
+Status MaintenancePass::Join(const MaintProgram& mp, int delta_pos,
+                             const std::vector<const Tuple*>* list,
+                             BodyState before, BodyState after, F on_head) {
+  const vm::RuleProgram& prog = *mp.prog;
+  std::vector<vm::LevelInput> inputs(prog.levels.size());
+  for (size_t li = 0; li < inputs.size(); ++li) {
+    int pos = mp.body_pos[li];
+    if (pos < 0) {
+      inputs[li].extra = list;
     } else {
-      BodyState state = static_cast<int>(i) < delta_pos ? before : after;
-      CORAL_ASSIGN_OR_RETURN(std::unique_ptr<GoalSource> src,
-                             MakeStateSource(&lit, &env, state));
-      sources.push_back(std::move(src));
+      inputs[li] = StateInput(prog.preds[li], pos < delta_pos ? before : after);
     }
   }
-  RuleCursor cursor(std::move(sources),
-                    std::vector<int>(rule.body.size(), -1),
-                    /*intelligent_bt=*/false, &trail_);
-  std::vector<TermRef> head_refs(rule.head.args.size());
-  Status st;
-  while (cursor.Next()) {
-    for (size_t i = 0; i < rule.head.args.size(); ++i) {
-      head_refs[i] = TermRef{rule.head.args[i], &env};
-    }
-    const Tuple* t = ResolveTuple(head_refs, db_->factory());
-    if (t == nullptr || !t->IsGround()) {
-      st = Status::Unsupported(
-          "maintenance: non-ground derived tuple for " +
-          rule.head.pred_ref().ToString());
-      break;
-    }
-    st = on_head(t);
-    if (!st.ok()) break;
+  vm::RunInput in;
+  in.prog = &prog;
+  in.levels = inputs;
+  in.factory = db_->factory();
+  CallbackSink<F> sink(&on_head);
+  vm::RunStats rst;
+  if (inst_->ExecuteVm(in, &sink, &rst) != vm::RunResult::kOk) {
+    return Status::Unsupported("maintenance: non-ground stored tuple in a " +
+                               prog.head_pred.ToString() + " join");
   }
-  cursor.UndoAll();
-  if (!st.ok()) return st;
-  return cursor.status();
+  return Status::OK();
+}
+
+Status MaintenancePass::CompilePrograms() {
+  if (inst_->maint_compiled_) return inst_->maint_status_;
+  inst_->maint_compiled_ = true;
+  vm::InternalSet internal;
+  for (const auto& [p, rel] : inst_->internal_) internal.insert(p);
+  vm::CompileEnv env;  // CanMaintain already refused module calls
+  const BuiltinRegistry* builtins = db_->builtins();
+  env.is_builtin = [builtins](const std::string& name, uint32_t arity) {
+    return builtins->Find(name, arity) != nullptr;
+  };
+  // `lead` (or null) becomes literal 0 in front of `body`; body_pos maps
+  // each compiled level back to its position in the original rule.
+  auto compile = [&](const Rule& rule, uint32_t ri, const Literal* lead,
+                     int skip, MaintProgram* out) -> Status {
+    Rule synth;
+    synth.head = rule.head;
+    synth.var_count = rule.var_count;
+    std::vector<int> pos_of;
+    if (lead != nullptr) {
+      synth.body.push_back(*lead);
+      pos_of.push_back(-1);
+    }
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      if (static_cast<int>(i) == skip) continue;
+      synth.body.push_back(rule.body[i]);
+      pos_of.push_back(static_cast<int>(i));
+    }
+    vm::CompiledRule c = vm::CompileRule(synth, ri, {}, internal, env);
+    if (c.prog == nullptr) {
+      return Status::Unsupported("maintenance: rule " + rule.ToString() +
+                                 " runs no bytecode: " + c.why);
+    }
+    for (const vm::Level& lv : c.prog->levels) {
+      out->body_pos.push_back(pos_of[lv.lit]);
+    }
+    out->prog = std::move(c.prog);
+    EnsureProbeIndexes(*out);
+    return Status::OK();
+  };
+
+  auto compile_all = [&]() -> Status {
+    inst_->maint_rules_.resize(prog().rules.size());
+    for (const SccPlan& plan : sccs()) {
+      const bool recursive = SccIsRecursive(plan);
+      for (uint32_t ri : SccRules(plan)) {
+        const Rule& rule = prog().rules[ri];
+        MaterializedInstance::MaintRule& mr = inst_->maint_rules_[ri];
+        if (recursive) {
+          CORAL_RETURN_IF_ERROR(
+              compile(rule, ri, &rule.head, -1, &mr.rederive));
+        } else if (!rule.is_fact()) {  // BuildCounts counts facts directly
+          CORAL_RETURN_IF_ERROR(
+              compile(rule, ri, nullptr, -1, &mr.in_order));
+        }
+        mr.delta_first.resize(rule.body.size());
+        for (size_t i = 0; i < rule.body.size(); ++i) {
+          if (!IsStored(rule.body[i])) continue;
+          CORAL_RETURN_IF_ERROR(compile(rule, ri, &rule.body[i],
+                                        static_cast<int>(i),
+                                        &mr.delta_first[i]));
+        }
+      }
+    }
+    return Status::OK();
+  };
+  inst_->maint_status_ = compile_all();
+  return inst_->maint_status_;
+}
+
+void MaintenancePass::EnsureProbeIndexes(const MaintProgram& mp) {
+  for (size_t li = 0; li < mp.prog->levels.size(); ++li) {
+    const vm::Level& lv = mp.prog->levels[li];
+    if (lv.scan != vm::Op::kProbeIndex || mp.body_pos[li] < 0) continue;
+    auto* hr = dynamic_cast<HashRelation*>(StoredRel(mp.prog->preds[li]));
+    if (hr != nullptr) hr->AddArgumentIndex(lv.key_cols);
+  }
 }
 
 Status MaintenancePass::BuildCounts() {
@@ -341,12 +330,18 @@ Status MaintenancePass::BuildCounts() {
       const Rule& rule = prog().rules[ri];
       PredRef h = rule.head.pred_ref();
       auto& counts = inst_->support_counts_[h];
-      CORAL_RETURN_IF_ERROR(EvalRule(
-          rule, /*delta_pos=*/-1, nullptr, BodyState::kOld, BodyState::kOld,
-          [&counts](const Tuple* t) {
-            ++counts[t];
-            return Status::OK();
-          }));
+      if (rule.is_fact()) {
+        const Tuple* t = db_->factory()->MakeTuple(rule.head.args);
+        if (!t->IsGround()) {
+          return Status::Unsupported("maintenance: non-ground fact " +
+                                     rule.ToString());
+        }
+        ++counts[t];
+        continue;
+      }
+      CORAL_RETURN_IF_ERROR(
+          Join(inst_->maint_rules_[ri].in_order, -1, nullptr, BodyState::kOld,
+               BodyState::kOld, [&counts](const Tuple* t) { ++counts[t]; }));
     }
     // Pin live tuples the counting pass cannot account for (engine-fed
     // facts): they must survive any sequence of decrements.
@@ -382,21 +377,18 @@ Status MaintenancePass::ProcessCountingScc(const SccPlan& plan) {
       if (!IsStored(lit)) continue;
       PredDelta* d = FindDelta(lit.pred_ref());
       if (d == nullptr) continue;
+      const MaintProgram& mp = inst_->maint_rules_[ri].delta_first[i];
       if (!d->minus.empty()) {
-        CORAL_RETURN_IF_ERROR(EvalRule(
-            rule, static_cast<int>(i), &d->minus, BodyState::kMid,
-            BodyState::kOld, [&dcounts, &h](const Tuple* t) {
-              --dcounts[h][t];
-              return Status::OK();
-            }));
+        CORAL_RETURN_IF_ERROR(
+            Join(mp, static_cast<int>(i), &d->minus, BodyState::kMid,
+                 BodyState::kOld,
+                 [&dcounts, &h](const Tuple* t) { --dcounts[h][t]; }));
       }
       if (!d->plus.empty()) {
-        CORAL_RETURN_IF_ERROR(EvalRule(
-            rule, static_cast<int>(i), &d->plus, BodyState::kNew,
-            BodyState::kMid, [&dcounts, &h](const Tuple* t) {
-              ++dcounts[h][t];
-              return Status::OK();
-            }));
+        CORAL_RETURN_IF_ERROR(
+            Join(mp, static_cast<int>(i), &d->plus, BodyState::kNew,
+                 BodyState::kMid,
+                 [&dcounts, &h](const Tuple* t) { ++dcounts[h][t]; }));
       }
     }
   }
@@ -453,39 +445,13 @@ Status MaintenancePass::ProcessCountingScc(const SccPlan& plan) {
 
 StatusOr<bool> MaintenancePass::Rederivable(const SccPlan& plan,
                                             const PredRef& p, const Tuple* t) {
+  const std::vector<const Tuple*> one{t};
   for (uint32_t ri : SccRules(plan)) {
-    const Rule& rule = prog().rules[ri];
-    if (!(rule.head.pred_ref() == p)) continue;
-    BindEnv env(rule.var_count);
-    BindEnv tuple_env(0);
-    tuple_env.EnsureSize(t->var_count());
-    Trail::Mark base = trail_.mark();
-    if (!UnifyTupleWithLiteral(t, &tuple_env, rule.head, &env, &trail_)) {
-      trail_.UndoTo(base);
-      continue;
-    }
-    std::vector<std::unique_ptr<GoalSource>> sources;
-    Status build;
-    for (const Literal& lit : rule.body) {
-      auto src = MakeStateSource(&lit, &env, BodyState::kNew);
-      if (!src.ok()) {
-        build = src.status();
-        break;
-      }
-      sources.push_back(std::move(src).value());
-    }
-    if (!build.ok()) {
-      trail_.UndoTo(base);
-      return build;
-    }
-    RuleCursor cursor(std::move(sources),
-                      std::vector<int>(rule.body.size(), -1),
-                      /*intelligent_bt=*/false, &trail_);
-    bool found = cursor.Next();
-    Status st = cursor.status();
-    cursor.UndoAll();
-    trail_.UndoTo(base);
-    if (!st.ok()) return st;
+    if (!(prog().rules[ri].head.pred_ref() == p)) continue;
+    bool found = false;
+    CORAL_RETURN_IF_ERROR(Join(inst_->maint_rules_[ri].rederive, -1, &one,
+                               BodyState::kNew, BodyState::kNew,
+                               [&found](const Tuple*) { found = true; }));
     if (found) return true;
   }
   return false;
@@ -521,12 +487,10 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
       if (members.count(p) > 0) continue;  // same-SCC deltas cascade below
       PredDelta* d = FindDelta(p);
       if (d == nullptr || d->minus.empty()) continue;
-      CORAL_RETURN_IF_ERROR(EvalRule(
-          rule, static_cast<int>(i), &d->minus, BodyState::kOld,
-          BodyState::kOld, [&](const Tuple* t) {
-            add_candidate(h, hrel, t);
-            return Status::OK();
-          }));
+      CORAL_RETURN_IF_ERROR(Join(
+          inst_->maint_rules_[ri].delta_first[i], static_cast<int>(i),
+          &d->minus, BodyState::kOld, BodyState::kOld,
+          [&](const Tuple* t) { add_candidate(h, hrel, t); }));
     }
   }
   while (!frontier.empty()) {
@@ -544,12 +508,10 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
         if (members.count(p) == 0) continue;
         auto fit = cur.find(p);
         if (fit == cur.end() || fit->second.empty()) continue;
-        CORAL_RETURN_IF_ERROR(EvalRule(
-            rule, static_cast<int>(i), &fit->second, BodyState::kOld,
-            BodyState::kOld, [&](const Tuple* t) {
-              add_candidate(h, hrel, t);
-              return Status::OK();
-            }));
+        CORAL_RETURN_IF_ERROR(Join(
+            inst_->maint_rules_[ri].delta_first[i], static_cast<int>(i),
+            &fit->second, BodyState::kOld, BodyState::kOld,
+            [&](const Tuple* t) { add_candidate(h, hrel, t); }));
       }
     }
   }
@@ -597,12 +559,10 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
       if (inst_->internal(p) != nullptr) continue;
       PredDelta* d = FindDelta(p);
       if (d == nullptr || d->plus.empty()) continue;
-      CORAL_RETURN_IF_ERROR(EvalRule(
-          rule, static_cast<int>(i), &d->plus, BodyState::kNew,
-          BodyState::kMid, [&](const Tuple* t) {
-            inst_->HeadInsert(h, t);
-            return Status::OK();
-          }));
+      CORAL_RETURN_IF_ERROR(Join(
+          inst_->maint_rules_[ri].delta_first[i], static_cast<int>(i),
+          &d->plus, BodyState::kNew, BodyState::kMid,
+          [&](const Tuple* t) { inst_->HeadInsert(h, t); }));
     }
   }
 
@@ -653,12 +613,10 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
       for (size_t i = 0; i < rule.body.size(); ++i) {
         auto fit = front.find(rule.body[i].pred_ref());
         if (fit == front.end() || !IsStored(rule.body[i])) continue;
-        CORAL_RETURN_IF_ERROR(EvalRule(
-            rule, static_cast<int>(i), &fit->second, BodyState::kNew,
-            BodyState::kNew, [&](const Tuple* t) {
-              inst_->HeadInsert(h, t);
-              return Status::OK();
-            }));
+        CORAL_RETURN_IF_ERROR(Join(
+            inst_->maint_rules_[ri].delta_first[i], static_cast<int>(i),
+            &fit->second, BodyState::kNew, BodyState::kNew,
+            [&](const Tuple* t) { inst_->HeadInsert(h, t); }));
       }
     }
   }
@@ -692,6 +650,10 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
 }
 
 Status MaintenancePass::Run(const UpdateDelta& delta) {
+  // Programs compile before anything is mutated, so a rule the VM cannot
+  // run leaves the instance intact for the caller to invalidate.
+  CORAL_RETURN_IF_ERROR(CompilePrograms());
+
   // Import the base-relation deltas.
   for (const auto& [p, vec] : delta.minus) {
     PredDelta& d = DeltaFor(p);
@@ -710,7 +672,6 @@ Status MaintenancePass::Run(const UpdateDelta& delta) {
     m0_[p] = rel->Snapshot();
   }
 
-  EnsureProbeIndexes();
 
   // Support counts are built lazily, against the reconstructed pre-update
   // state, before the pass mutates anything. They persist across
@@ -753,11 +714,8 @@ bool MaterializedInstance::CanMaintain() const {
       if (lit.negated) return false;
       PredRef p = lit.pred_ref();
       if (internal_.count(p) > 0) continue;
-      const std::string& name = p.sym->name;
-      if (db_->builtins()->Find(name, p.arity) != nullptr) {
-        if (IsSideEffectingBuiltin(name)) return false;
-        continue;
-      }
+      // Builtins are vetted when the pass compiles: only comparisons run.
+      if (db_->builtins()->Find(p.sym->name, p.arity) != nullptr) continue;
       if (db_->modules()->Exports(p)) return false;
       if (!db_->modules()->LocalOwner(p).empty()) return false;
       Relation* base = db_->FindBaseRelation(p);

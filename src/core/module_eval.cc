@@ -311,14 +311,14 @@ void MaterializedInstance::BindVmPrograms() {
   auto bind = [&](const vm::RuleProgram* rp) {
     VmBoundRule b;
     if (rp == nullptr) return b;
-    auto* head = dynamic_cast<HashRelation*>(internal(rp->head_pred));
+    auto hit = internal_.find(rp->head_pred);
+    HashRelation* head = hit == internal_.end() ? nullptr : hit->second.get();
     if (head == nullptr || head->multiset() || !head->selections().empty()) {
       db_->vm_counters()->bind_fallbacks.fetch_add(1,
                                                   std::memory_order_relaxed);
       return b;
     }
     std::vector<Relation*> rels;
-    std::vector<HashRelation*> hash_rels;
     for (const PredRef& pred : rp->preds) {
       Relation* rel = internal(pred);
       if (rel == nullptr) {
@@ -332,11 +332,9 @@ void MaterializedInstance::BindVmPrograms() {
         rel = db_->GetOrCreateBaseRelation(pred);
       }
       rels.push_back(rel);
-      hash_rels.push_back(dynamic_cast<HashRelation*>(rel));
     }
     b.prog = rp;
     b.rels = std::move(rels);
-    b.hash_rels = std::move(hash_rels);
     b.head = head;
     return b;
   };

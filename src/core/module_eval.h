@@ -116,17 +116,19 @@ class MaterializedInstance {
   /// maintenance algorithms: materialized Basic Semi-Naive save module,
   /// no Ordered Search / @explain, no negation, no aggregation (rule
   /// heads or selections), no multiset relations, no inter-module body
-  /// literals, no side-effecting builtins, and every stored body
-  /// predicate an in-memory relation. Uncovered shapes fall back to
-  /// invalidation (the caller drops the instance).
+  /// literals, and every stored body predicate an in-memory relation.
+  /// Uncovered shapes fall back to invalidation (the caller drops the
+  /// instance); so do rules Maintain cannot compile to bytecode.
   bool CanMaintain() const;
 
   /// Absorbs one committed base-relation delta into this completed
   /// instance: support-count propagation (the counting algorithm) for
   /// non-recursive SCCs and delete-rederive (DRed) plus a resumed
   /// semi-naive fixpoint for recursive ones (docs/MAINTENANCE.md). The
-  /// caller checked CanMaintain and serializes writers. On error the
-  /// instance is half-updated and MUST be discarded.
+  /// caller checked CanMaintain and serializes writers. Every join runs
+  /// on the VM; a rule outside the VM model or a non-ground stored tuple
+  /// ends the pass with Unsupported. On error the instance may be
+  /// half-updated and MUST be discarded.
   Status Maintain(const UpdateDelta& delta, UpdateResult* result);
 
  private:
@@ -199,10 +201,14 @@ class MaterializedInstance {
   /// A compiled rule version bound to this activation's relations.
   struct VmBoundRule {
     const vm::RuleProgram* prog = nullptr;
-    std::vector<Relation*> rels;           // per level
-    std::vector<HashRelation*> hash_rels;  // per level; null = never probe
+    std::vector<Relation*> rels;  // per level
     HashRelation* head = nullptr;
   };
+  /// vm::Execute plus the Database-wide VmCounters bookkeeping shared by
+  /// the fixpoint and maintenance: one application, its opcode counts,
+  /// and a runtime fallback on kFallback.
+  vm::RunResult ExecuteVm(const vm::RunInput& in, vm::TupleSink* sink,
+                          vm::RunStats* rst) const;
   /// Resolves relations for every compiled version; disqualifies rules
   /// whose bind-time shape the VM cannot run (multiset or non-internal
   /// head, literals that now resolve to module calls). Called from Init.
@@ -260,10 +266,22 @@ class MaterializedInstance {
   // Forces EffectiveThreads() == 1 while a maintenance pass (including
   // its resumed fixpoint) runs: delta bookkeeping is single-threaded.
   bool maintenance_mode_ = false;
-  // Argument indexes for the maintenance joins' probe patterns (which
-  // the evaluation-time planned indexes need not cover) are created once
-  // per instance, at the first pass.
-  bool maintenance_indexes_built_ = false;
+  // The maintenance joins as bytecode, compiled (and their probe indexes
+  // created) once per instance at the first pass, before it mutates
+  // anything. maint_status_ is Unsupported when some rule has no
+  // program; every pass then ends before touching the instance.
+  struct MaintProgram {
+    std::unique_ptr<vm::RuleProgram> prog;  // null: not needed
+    std::vector<int> body_pos;  // per level: body position; -1 = the list
+  };
+  struct MaintRule {
+    MaintProgram in_order;                  // counting: support build
+    std::vector<MaintProgram> delta_first;  // per body literal
+    MaintProgram rederive;                  // DRed: head first
+  };
+  bool maint_compiled_ = false;
+  Status maint_status_;
+  std::vector<MaintRule> maint_rules_;  // per prog_->rules entry
 
   EvalStats stats_;
   std::vector<Derivation> derivations_;  // @explain only

@@ -74,16 +74,13 @@ class HashRelation : public MemoryRelation {
   /// True if an argument index on exactly `cols` exists.
   bool HasArgumentIndex(const std::vector<uint32_t>& cols) const;
 
-  /// Direct probe for the bytecode VM: candidates matching ground `key`
-  /// values at columns `cols` within subsidiaries [from, to). Uses the
-  /// widest attached argument index whose columns are a subset of `cols`
-  /// and appends a candidate SUPERSET (var-bucket postings included,
-  /// tombstones filtered) — callers still check every column. Returns
-  /// false when no argument index can serve the probe; the caller must
-  /// fall back to scanning the window.
+  /// Uses the widest attached argument index whose columns are a subset
+  /// of `cols`; var-bucket postings are included and tombstones filtered.
+  /// Declines when no argument index can serve the probe, and always
+  /// under a ReadView (see above).
   bool ProbeArgs(std::span<const uint32_t> cols,
                  std::span<const Arg* const> key, Mark from, Mark to,
-                 std::vector<const Tuple*>* out) const;
+                 std::vector<const Tuple*>* out) const override;
 
  protected:
   void DoInsert(const Tuple* t) override;

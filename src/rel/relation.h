@@ -118,6 +118,18 @@ class Relation {
     return Select(pattern, 0, kMaxMark);
   }
 
+  /// Direct probe for the bytecode VM: appends candidates matching ground
+  /// `key` values at columns `cols` within subsidiaries [from, to). The
+  /// candidates are a SUPERSET — callers still check every column.
+  /// Returns false when the relation cannot serve the probe from an
+  /// index; the caller then scans the window. The default declines.
+  virtual bool ProbeArgs(std::span<const uint32_t> /*cols*/,
+                         std::span<const Arg* const> /*key*/, Mark /*from*/,
+                         Mark /*to*/,
+                         std::vector<const Tuple*>* /*out*/) const {
+    return false;
+  }
+
   /// Places a mark: subsequently inserted tuples are distinguishable from
   /// earlier ones. Returns the boundary.
   virtual Mark Snapshot() = 0;

@@ -31,30 +31,28 @@ bool CmpFromName(const std::string& name, CmpOp* out) {
   return true;
 }
 
-using InternalSet = std::unordered_set<PredRef, PredRefHash>;
-
-class VersionCompiler {
+class RuleCompiler {
  public:
-  VersionCompiler(const RewrittenProgram& prog, const RuleVersion& v,
-                  const InternalSet& internal, const CompileEnv& env)
-      : prog_(prog), v_(v), internal_(internal), env_(env) {}
+  RuleCompiler(const Rule& rule, uint32_t rule_index,
+               std::span<const RangeSel> ranges, const InternalSet& internal,
+               const CompileEnv& env)
+      : rule_(rule),
+        rule_index_(rule_index),
+        ranges_(ranges),
+        internal_(internal),
+        env_(env) {}
 
   /// Null (with `why` set) when the rule shape is outside the VM model.
   std::unique_ptr<RuleProgram> Compile(std::string* why) {
-    if (v_.is_aggregate) {
-      *why = "aggregate head";
-      return nullptr;
-    }
-    const Rule& rule = prog_.rules[v_.rule_index];
     auto rp = std::make_unique<RuleProgram>();
     rp_ = rp.get();
-    rp_->rule_index = v_.rule_index;
-    rp_->nregs = rule.var_count;
-    rp_->head_pred = rule.head.pred_ref();
-    load_level_.assign(rule.var_count, -1);
+    rp_->rule_index = rule_index_;
+    rp_->nregs = rule_.var_count;
+    rp_->head_pred = rule_.head.pred_ref();
+    load_level_.assign(rule_.var_count, -1);
 
-    for (size_t li = 0; li < rule.body.size(); ++li) {
-      const Literal& lit = rule.body[li];
+    for (size_t li = 0; li < rule_.body.size(); ++li) {
+      const Literal& lit = rule_.body[li];
       if (lit.negated) {
         *why = "negated literal";
         return nullptr;
@@ -76,7 +74,7 @@ class VersionCompiler {
       *why = "no relation literal in body";
       return nullptr;
     }
-    for (const Arg* a : rule.head.args) {
+    for (const Arg* a : rule_.head.args) {
       Operand o;
       if (!LowerOperand(a, &o, why)) {
         *why = "head: " + *why;
@@ -164,7 +162,7 @@ class VersionCompiler {
     s.op = Op::kScanFull;
     s.lit = li;
     s.pred = static_cast<uint32_t>(level);
-    s.window = li < v_.ranges.size() ? v_.ranges[li] : RangeSel::kFull;
+    s.window = li < ranges_.size() ? ranges_[li] : RangeSel::kFull;
     rp_->code.push_back(s);
     bool has_key = false;
     for (uint32_t col = 0; col < lit.args.size(); ++col) {
@@ -191,8 +189,9 @@ class VersionCompiler {
     return true;
   }
 
-  const RewrittenProgram& prog_;
-  const RuleVersion& v_;
+  const Rule& rule_;
+  uint32_t rule_index_;
+  std::span<const RangeSel> ranges_;
   const InternalSet& internal_;
   const CompileEnv& env_;
   RuleProgram* rp_ = nullptr;
@@ -200,6 +199,25 @@ class VersionCompiler {
 };
 
 }  // namespace
+
+CompiledRule CompileRule(const Rule& rule, uint32_t rule_index,
+                         std::span<const RangeSel> ranges,
+                         const InternalSet& internal, const CompileEnv& env) {
+  CompiledRule out;
+  out.prog = RuleCompiler(rule, rule_index, ranges, internal, env)
+                 .Compile(&out.why);
+  if (out.prog == nullptr) return out;
+  // Verify-after-compile: a program the static verifier rejects must
+  // never bind (CRL301).
+  VerifyReport report = VerifyProgram(*out.prog);
+  if (const VerifyFinding* err = report.FirstError(); err != nullptr) {
+    out.why = "verifier: " + err->ToString() + " [" + vdiag::kUnverifiable +
+              "]";
+    out.verifier_rejected = true;
+    out.prog.reset();
+  }
+  return out;
+}
 
 ModuleProgram CompileModule(const RewrittenProgram& prog,
                             const ModuleDecl& decl, const CompileEnv& env) {
@@ -238,34 +256,26 @@ ModuleProgram CompileModule(const RewrittenProgram& prog,
         [&](const std::vector<RuleVersion>& versions, const char* kind,
             std::vector<std::unique_ptr<RuleProgram>>* table) {
           for (size_t vi = 0; vi < versions.size(); ++vi) {
-            std::string why;
-            VersionCompiler vc(prog, versions[vi], internal, env);
-            std::unique_ptr<RuleProgram> rp = vc.Compile(&why);
-            if (rp != nullptr) {
-              // Verify-after-compile: a program the static verifier
-              // rejects must never bind; it falls back to the
-              // interpreter with the verifier's reason (CRL301).
-              VerifyReport report = VerifyProgram(*rp);
-              if (const VerifyFinding* err = report.FirstError();
-                  err != nullptr) {
-                why = "verifier: " + err->ToString() + " [" +
-                      vdiag::kUnverifiable + "]";
-                ++out.verifier_rejected;
-                rp.reset();
-              } else {
-                ++out.verified;
-              }
+            const RuleVersion& v = versions[vi];
+            CompiledRule c;
+            if (v.is_aggregate) {
+              c.why = "aggregate head";
+            } else {
+              c = CompileRule(prog.rules[v.rule_index], v.rule_index,
+                              v.ranges, internal, env);
             }
             listing << "scc " << si << " " << kind << " " << vi;
-            if (rp != nullptr) {
+            if (c.prog != nullptr) {
+              ++out.verified;
               ++out.compiled;
-              listing << " delta=" << versions[vi].delta_pos << "\n"
-                      << Disassemble(*rp);
+              listing << " delta=" << v.delta_pos << "\n"
+                      << Disassemble(*c.prog);
             } else {
+              if (c.verifier_rejected) ++out.verifier_rejected;
               ++out.skipped;
-              listing << " interpreted: " << why << "\n";
+              listing << " interpreted: " << c.why << "\n";
             }
-            table->push_back(std::move(rp));
+            table->push_back(std::move(c.prog));
           }
         };
     compile_table(plan.versions, "version", &out.sccs[si].versions);

@@ -10,7 +10,10 @@
 #define CORAL_VM_COMPILER_H_
 
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
+#include <unordered_set>
 
 #include "src/lang/ast.h"
 #include "src/rewrite/rewriter.h"
@@ -30,6 +33,26 @@ struct CompileEnv {
   std::function<bool(const PredRef& pred)> is_module_pred =
       [](const PredRef&) { return false; };
 };
+
+/// Predicates materialized inside a module instance: never classified as
+/// builtins or module calls.
+using InternalSet = std::unordered_set<PredRef, PredRefHash>;
+
+/// One rule lowered by CompileRule.
+struct CompiledRule {
+  std::unique_ptr<RuleProgram> prog;  // null: runs no bytecode (see why)
+  std::string why;
+  bool verifier_rejected = false;  // compiled, but VerifyProgram failed
+};
+
+/// Lowers `rule` in body-literal order and gates it with VerifyProgram.
+/// `ranges[i]` is body literal i's window class (missing entries are
+/// kFull). The module compiler calls this once per rule version; view
+/// maintenance calls it on delta-first and rederivation bodies it builds
+/// itself (docs/MAINTENANCE.md).
+CompiledRule CompileRule(const Rule& rule, uint32_t rule_index,
+                         std::span<const RangeSel> ranges,
+                         const InternalSet& internal, const CompileEnv& env);
 
 /// Compiles every rule version of `prog`. Whole-module skips (@no_vm,
 /// ordered search, @explain, pipelining) yield an empty sccs vector with

@@ -100,30 +100,46 @@ class Executor {
       return true;
     }
     const Level& lv = prog_.levels[li];
-    auto [from, to] = in_.windows[lv.lit];
-    if (from >= to) return true;
+    const LevelInput& src = in_.levels[li];
     const bool part_here =
         in_.part_lit == static_cast<int>(lv.lit) && in_.part_count > 1;
-
-    if (lv.scan == Op::kProbeIndex) {
-      HashRelation* h = in_.hash_rels[li];
-      if (h != nullptr) {
-        key_buf_.clear();
-        for (const Operand& o : lv.key_srcs) {
-          key_buf_.push_back(OperandValue(o));
-        }
-        std::vector<const Tuple*>& cand = cand_[li];
-        cand.clear();
-        if (h->ProbeArgs(lv.key_cols, key_buf_, from, to, &cand)) {
-          ++st_->ops.probe_index;
-          for (const Tuple* t : cand) {
-            if (!Step(lv, li, t, part_here)) return false;
-          }
-          return true;
-        }
+    if (src.rel != nullptr && src.from < src.to &&
+        !ReadRelation(lv, li, src, part_here)) {
+      return false;
+    }
+    if (src.extra != nullptr) {
+      // A list-only level is a delta scan whatever its opcode.
+      if (src.rel == nullptr) ++st_->ops.scan_delta;
+      for (const Tuple* t : *src.extra) {
+        if (!Step(lv, li, t, part_here)) return false;
       }
-      // Planned index absent on the bound relation: scan the window and
-      // let the per-column checks filter (Select's superset contract).
+    }
+    return true;
+  }
+
+  /// The relation part of one level: probe or scan the window, passing
+  /// over the skip-set.
+  bool ReadRelation(const Level& lv, size_t li, const LevelInput& src,
+                    bool part_here) {
+    auto skipped = [&src](const Tuple* t) {
+      return src.skip != nullptr && src.skip->count(t) > 0;
+    };
+    if (lv.scan == Op::kProbeIndex) {
+      key_buf_.clear();
+      for (const Operand& o : lv.key_srcs) key_buf_.push_back(OperandValue(o));
+      std::vector<const Tuple*>& cand = cand_[li];
+      cand.clear();
+      if (src.rel->ProbeArgs(lv.key_cols, key_buf_, src.from, src.to,
+                             &cand)) {
+        ++st_->ops.probe_index;
+        for (const Tuple* t : cand) {
+          if (!skipped(t) && !Step(lv, li, t, part_here)) return false;
+        }
+        return true;
+      }
+      // No index serves the probe (the relation declined): scan the
+      // window and let the per-column checks filter (Select's superset
+      // contract).
       ++st_->ops.probe_scan_fallbacks;
       ++st_->ops.scan_full;
     } else if (lv.scan == Op::kScanDelta) {
@@ -131,12 +147,12 @@ class Executor {
     } else {
       ++st_->ops.scan_full;
     }
-    std::unique_ptr<TupleIterator> it = in_.rels[li]->ScanRange(from, to);
+    std::unique_ptr<TupleIterator> it = src.rel->ScanRange(src.from, src.to);
     while (const Tuple* t = it->Next()) {
-      if (!Step(lv, li, t, part_here)) return false;
+      if (!skipped(t) && !Step(lv, li, t, part_here)) return false;
     }
-    // A failing storage scan falls back too: the interpreter re-runs the
-    // application and surfaces the error through its Status plumbing.
+    // A failing storage scan falls back too: the caller re-runs or
+    // abandons the application and surfaces the error.
     return it->status().ok();
   }
 

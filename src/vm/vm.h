@@ -2,19 +2,19 @@
 // The join bytecode executor: a nested-loops join over the Levels of a
 // RuleProgram with a flat register file of canonical ground Args. No
 // BindEnv, no trail, no unification on the hot path — every match is a
-// pointer comparison (docs/VM.md). The interpreter remains the oracle:
-// any tuple the VM cannot handle (non-ground stored facts) aborts the
-// application and the caller re-runs it interpreted.
+// pointer comparison (docs/VM.md). Any tuple the VM cannot handle
+// (non-ground stored facts) aborts the application; the caller decides
+// what runs instead (see RunResult::kFallback).
 
 #ifndef CORAL_VM_VM_H_
 #define CORAL_VM_VM_H_
 
 #include <cstdint>
 #include <span>
-#include <utility>
+#include <unordered_set>
+#include <vector>
 
 #include "src/data/term_factory.h"
-#include "src/rel/hash_relation.h"
 #include "src/rel/relation.h"
 #include "src/vm/bytecode.h"
 
@@ -35,7 +35,8 @@ struct OpCounts {
 
 /// Receives derived head tuples. Sequential evaluation inserts directly
 /// (returning whether the relation changed); parallel workers buffer for
-/// the barrier merge and return false.
+/// the barrier merge and maintenance passes count or collect, and both
+/// return false.
 class TupleSink {
  public:
   virtual ~TupleSink() = default;
@@ -45,22 +46,33 @@ class TupleSink {
 enum class RunResult {
   kOk,
   /// A stored candidate tuple was non-ground (or a storage scan failed):
-  /// the caller must re-run this rule application through the
-  /// interpreter. Tuples already emitted stay — head relations accepted
-  /// by the compiler are duplicate-eliminating, so the re-run is
-  /// idempotent.
+  /// the fixpoint re-runs this rule application through the interpreter
+  /// (tuples already emitted stay — head relations accepted by the
+  /// compiler are duplicate-eliminating, so the re-run is idempotent);
+  /// a maintenance pass gives up and the instance is invalidated.
   kFallback,
+};
+
+/// What one body level reads. The fixpoint passes a relation and a mark
+/// window; view maintenance (docs/MAINTENANCE.md) also reads tuple lists
+/// and reconstructed states, each expressible as "live relation minus a
+/// skip-set, plus an extra list".
+struct LevelInput {
+  /// Stored relation scanned (or probed) over [from, to); null reads
+  /// `extra` only.
+  const Relation* rel = nullptr;
+  Mark from = 0;
+  Mark to = kMaxMark;
+  /// Tuples of `rel` to pass over; null skips nothing.
+  const std::unordered_set<const Tuple*>* skip = nullptr;
+  /// Tuples read after `rel`'s, regardless of the window; null for none.
+  const std::vector<const Tuple*>* extra = nullptr;
 };
 
 struct RunInput {
   const RuleProgram* prog = nullptr;
-  /// Bound relations, one per prog->levels entry, in level order.
-  std::span<Relation* const> rels;
-  /// Probe targets per level; a null entry always scans.
-  std::span<HashRelation* const> hash_rels;
-  /// [from, to) mark windows per *body literal*, indexed by Level::lit.
-  /// The driver computes these (BSN/PSN/naive all differ only here).
-  std::span<const std::pair<Mark, Mark>> windows;
+  /// One input per prog->levels entry, in level order.
+  std::span<const LevelInput> levels;
   TermFactory* factory = nullptr;
   /// Parallel partition filter, applied at body literal `part_lit`
   /// (PartitionKey(t, part_col) % part_count == part_index); part_lit < 0

@@ -48,10 +48,16 @@ struct GLit {
   bool negated;
   int args[2];       // >= 0: variable id; < 0: constant -(v+1)
 };
+// A comparison over two bound variables: `a < b`, or `a \= b`.
+struct GCmp {
+  bool less;
+  int a, b;
+};
 struct GRule {
   int head;          // derived pred index (0..kDerived-1)
   int head_args[2];  // variable ids
   std::vector<GLit> body;
+  std::vector<GCmp> cmps;  // after the body; only AddComparisons sets it
 };
 
 constexpr int kBase = 2;
@@ -117,6 +123,26 @@ std::vector<GRule> GenProgram(Lcg* rng, bool with_negation) {
     rules.push_back(std::move(rule));
   }
   return rules;
+}
+
+/// Appends, to about half of the rules, one comparison (`<` or `\=`)
+/// over two distinct variables the positive body binds.
+void AddComparisons(Lcg* rng, std::vector<GRule>* rules) {
+  for (GRule& rule : *rules) {
+    std::set<int> vars;
+    for (const GLit& lit : rule.body) {
+      if (lit.negated) continue;
+      for (int a : lit.args) {
+        if (a >= 0) vars.insert(a);
+      }
+    }
+    if (vars.size() < 2 || rng->Next(2) == 0) continue;
+    std::vector<int> v(vars.begin(), vars.end());
+    int i = static_cast<int>(rng->Next(v.size()));
+    int j = static_cast<int>(rng->Next(v.size() - 1));
+    if (j >= i) ++j;
+    rule.cmps.push_back({rng->Next(2) == 0, v[i], v[j]});
+  }
 }
 
 using Fact = std::pair<int, int>;
@@ -192,6 +218,11 @@ void ReferenceFixpoint(const std::vector<GRule>& rules, Db* db) {
           ASSERT_TRUE(determined) << "generator produced unsafe negation";
           if ((*db)[lit.pred].count({vals[0], vals[1]})) pass = false;
         }
+        for (const GCmp& c : rule.cmps) {
+          int a = env.at(c.a);
+          int b = env.at(c.b);
+          pass = pass && (c.less ? a < b : a != b);
+        }
         if (!pass) continue;
         Fact head{env.at(rule.head_args[0]), env.at(rule.head_args[1])};
         if ((*db)[kBase + rule.head].insert(head).second) changed = true;
@@ -227,6 +258,9 @@ std::string ProgramText(const std::vector<GRule>& rules, const Db& base,
       if (lit.negated) out += "not ";
       out += PredName(lit.pred) + "(" + ArgText(lit.args[0]) + ", " +
              ArgText(lit.args[1]) + ")";
+    }
+    for (const GCmp& c : r.cmps) {
+      out += ", " + ArgText(c.a) + (c.less ? " < " : " \\= ") + ArgText(c.b);
     }
     out += ".\n";
   }
@@ -675,7 +709,8 @@ void RunVmDifferential(uint64_t seed, bool with_negation,
 // caller can assert the incremental path actually ran.
 // ---------------------------------------------------------------------
 
-void RunIvmDifferential(uint64_t seed, int threads, uint64_t* maintained) {
+void RunIvmDifferential(uint64_t seed, int threads, bool with_comparisons,
+                        uint64_t* maintained) {
   Lcg rng(seed);
   std::vector<GRule> rules = GenProgram(&rng, /*with_negation=*/false);
   if (rules.empty()) return;
@@ -691,6 +726,12 @@ void RunIvmDifferential(uint64_t seed, int threads, uint64_t* maintained) {
       r.body = {GLit{0, false, {0, 1}}};
       rules.push_back(r);
     }
+  }
+  if (with_comparisons) {
+    // A stream of its own, so `rng` draws the same updates as it would
+    // without comparisons.
+    Lcg crng(seed ^ 0x5eedc0de);
+    AddComparisons(&crng, &rules);
   }
 
   Database db;
@@ -785,18 +826,19 @@ void RunIvmDifferential(uint64_t seed, int threads, uint64_t* maintained) {
   }
 }
 
-void IvmSeedLoop(uint64_t first, uint64_t last, int threads) {
+void IvmSeedLoop(uint64_t first, uint64_t last, int threads,
+                 bool with_comparisons = false) {
   // CORAL_IVM_SEED pins the run to one seed for deterministic replay of
   // a CI failure (mirrors CORAL_FAULT_SEED in crash_recovery_test).
   uint64_t maintained = 0;
   if (const char* env = std::getenv("CORAL_IVM_SEED")) {
     uint64_t seed = std::strtoull(env, nullptr, 0);
     ::testing::Test::RecordProperty("ivm_seed", std::to_string(seed));
-    RunIvmDifferential(seed, threads, &maintained);
+    RunIvmDifferential(seed, threads, with_comparisons, &maintained);
     return;
   }
   for (uint64_t seed = first; seed <= last; ++seed) {
-    RunIvmDifferential(seed, threads, &maintained);
+    RunIvmDifferential(seed, threads, with_comparisons, &maintained);
     if (::testing::Test::HasFatalFailure() ||
         ::testing::Test::HasNonfatalFailure()) {
       return;
@@ -813,6 +855,12 @@ TEST(IvmDifferentialTest, UpdateSequencesMatchFromScratch) {
 
 TEST(IvmDifferentialTest, UpdateSequencesMatchFromScratchParallel) {
   IvmSeedLoop(11000, 11059, /*threads=*/4);
+}
+
+// Comparison builtins compile to TEST_BUILTIN, so maintenance evaluates
+// them under the reconstructed kMid/kOld states too.
+TEST(IvmDifferentialTest, UpdateSequencesWithComparisonsMatchFromScratch) {
+  IvmSeedLoop(12000, 12079, /*threads=*/1, /*with_comparisons=*/true);
 }
 
 TEST(VmDifferentialTest, VmInterpreterThreadMatrixMatchesReference) {

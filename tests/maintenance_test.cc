@@ -58,9 +58,46 @@ class MaintenanceTest : public ::testing::Test {
         if (!l.empty()) text += "-" + l + "\n";
       }
     }
+    VmMark before = MarkVm();
     auto result = s.ApplyUpdate(text);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return result.ok() ? *result : UpdateResult{};
+    if (!result.ok()) return UpdateResult{};
+    ExpectVmMaintenance(before, *result);
+    return *result;
+  }
+
+  struct VmMark {
+    uint64_t applications;
+    uint64_t runtime_fallbacks;
+  };
+  VmMark MarkVm() {
+    return {db.vm_counters()->applications.load(),
+            db.vm_counters()->runtime_fallbacks.load()};
+  }
+  /// Maintenance joins run as bytecode: a maintained update adds VM
+  /// applications and no runtime fallbacks.
+  void ExpectVmMaintenance(const VmMark& before, const UpdateResult& r) {
+    if (r.maintained == 0) return;
+    VmMark after = MarkVm();
+    EXPECT_GT(after.applications, before.applications);
+    EXPECT_EQ(after.runtime_fallbacks, before.runtime_fallbacks);
+  }
+
+  /// The answers of `query` over `program` evaluated from scratch in a
+  /// fresh database: the oracle for updates that invalidate.
+  static std::vector<std::string> FromScratch(const std::string& program,
+                                              const std::string& query) {
+    Database fresh;
+    auto st = fresh.Consult(program);
+    EXPECT_TRUE(st.ok()) << st.status().ToString();
+    auto result = fresh.EvalQuery(query);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::string> rows;
+    if (result.ok()) {
+      for (const AnswerRow& r : result->rows) rows.push_back(r.ToString());
+      std::sort(rows.begin(), rows.end());
+    }
+    return rows;
   }
 
   Database db;
@@ -316,6 +353,54 @@ TEST_F(MaintenanceTest, NonGroundUpdateFallsBackToInvalidation) {
   EXPECT_EQ(Count("anc(a, X)"), 3u);
 }
 
+TEST_F(MaintenanceTest, NonComparisonBuiltinFallsBackToInvalidation) {
+  // between/3 is a generator, not a comparison: the maintenance joins
+  // cannot run it as bytecode, so the pass gives up before touching the
+  // instance.
+  constexpr char kSpan[] = R"(
+    module spans.
+    export span(ff).
+    @save_module.
+    span(X, Y) :- lim(X, H), between(X, H, Y).
+    end_module.
+  )";
+  Load(kSpan);
+  Load("lim(1, 2).");
+  EXPECT_EQ(Ask("span(X, Y)"),
+            (std::vector<std::string>{"X = 1, Y = 1", "X = 1, Y = 2"}));
+  UpdateResult r = Update("lim(5, 6).");
+  EXPECT_EQ(r.maintained, 0u);
+  EXPECT_EQ(r.invalidated, 1u);
+  EXPECT_EQ(Ask("span(X, Y)"),
+            FromScratch(std::string(kSpan) + "lim(1, 2). lim(5, 6).",
+                        "span(X, Y)"));
+  EXPECT_EQ(Count("span(X, Y)"), 4u);
+}
+
+TEST_F(MaintenanceTest, NonGroundBaseFactFallsBackToInvalidation) {
+  // tag(W, red) is stored non-ground. The instance's heads stay ground,
+  // but a maintenance join that reads the fact falls off the VM, so the
+  // pass gives up and the instance is invalidated.
+  constexpr char kTagged[] = R"(
+    module tagged.
+    export out(f).
+    @save_module.
+    out(X) :- sel(X), tag(X, Y).
+    end_module.
+  )";
+  Load(kTagged);
+  Load("sel(1). sel(2). tag(W, red).");
+  EXPECT_EQ(Ask("out(X)"), (std::vector<std::string>{"X = 1", "X = 2"}));
+  UpdateResult r = Update("sel(3).");
+  EXPECT_EQ(r.maintained, 0u);
+  EXPECT_EQ(r.invalidated, 1u);
+  EXPECT_EQ(Ask("out(X)"),
+            FromScratch(std::string(kTagged) +
+                            "sel(1). sel(2). sel(3). tag(W, red).",
+                        "out(X)"));
+  EXPECT_EQ(Count("out(X)"), 3u);
+}
+
 TEST_F(MaintenanceTest, UpdateBeforeFirstQueryIsCheap) {
   Load(kAncSave);
   Load("par(a, b).");
@@ -335,8 +420,10 @@ TEST_F(MaintenanceTest, SessionTextApi) {
   Load("par(a, b).");
   EXPECT_EQ(Count("anc(a, X)"), 1u);
   Session s(&db);
+  VmMark before = MarkVm();
   auto r = s.ApplyUpdate("% grow then cut\n  +par(b, c).\n\n-par(a, b).\n");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectVmMaintenance(before, *r);
   EXPECT_EQ(r->base_inserted, 1u);
   EXPECT_EQ(r->base_deleted, 1u);
   EXPECT_TRUE(Ask("anc(a, X)").empty());
