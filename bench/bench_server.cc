@@ -20,8 +20,8 @@
 
 #include "bench/bench_util.h"
 #include "src/core/database.h"
-#include "src/server/json.h"
 #include "src/server/server.h"
+#include "src/util/json.h"
 #include "src/util/logging.h"
 #include "src/util/sync.h"
 
@@ -129,8 +129,7 @@ void BM_ServerQuery(benchmark::State& state) {
     return;
   }
   const std::string request =
-      server::JsonWriter().Field("op", "query").Field("q", "?- path(n0, X).")
-          .Build();
+      JsonWriter().Field("op", "query").Field("q", "?- path(n0, X).").Build();
   std::string buf;
   for (auto _ : state) {
     if (!RoundTrip(fd, request, &buf)) {

@@ -17,6 +17,8 @@
 //   coral::server::ClientSession  — per-connection protocol dispatch
 //   coral::server::AdmissionQueue — bounded queue with shed-on-overload
 //   coral::obs::ServerMetrics     — request counters and latency
+//   coral::server::JsonValue, ParseJson, JsonWriter
+//                                 — the JSON codec (src/util/json.h)
 //
 // The embedding rules of <coral/coral.h> apply: everything under src/
 // reached past these headers is internal.
@@ -26,8 +28,14 @@
 
 #include "src/obs/server_metrics.h"
 #include "src/server/admission.h"
-#include "src/server/json.h"
 #include "src/server/protocol.h"
 #include "src/server/server.h"
+#include "src/util/json.h"
+
+namespace coral::server {
+using ::coral::JsonValue;
+using ::coral::JsonWriter;
+using ::coral::ParseJson;
+}  // namespace coral::server
 
 #endif  // CORAL_INCLUDE_CORAL_SERVER_H_

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <string_view>
 
-#include "src/util/json_escape.h"
+#include "src/util/json.h"
 
 namespace coral {
 
@@ -29,14 +29,16 @@ std::string Diagnostic::ToString() const {
 }
 
 std::string Diagnostic::ToJson(const std::string& file) const {
-  std::ostringstream oss;
-  oss << "{\"code\":\"" << (code != nullptr ? code : "")
-      << "\",\"severity\":\"" << DiagSeverityName(severity)
-      << "\",\"file\":\"" << JsonEscape(file) << "\",\"line\":" << loc.line
-      << ",\"col\":" << loc.col << ",\"module\":\""
-      << JsonEscape(module_name) << "\",\"pred\":\"" << JsonEscape(pred)
-      << "\",\"message\":\"" << JsonEscape(message) << "\"}";
-  return oss.str();
+  return JsonWriter()
+      .Field("code", code != nullptr ? code : "")
+      .Field("severity", DiagSeverityName(severity))
+      .Field("file", file)
+      .Field("line", loc.line)
+      .Field("col", loc.col)
+      .Field("module", module_name)
+      .Field("pred", pred)
+      .Field("message", message)
+      .Build();
 }
 
 void DiagnosticList::Append(const DiagnosticList& other) {

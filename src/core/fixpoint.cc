@@ -464,9 +464,6 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
 
 size_t MaterializedInstance::EffectiveThreads() const {
   if (!parallel_safe_) return 1;
-  // A maintenance pass (and the fixpoint it resumes) tracks per-predicate
-  // deltas in plain containers; it runs sequentially.
-  if (maintenance_mode_) return 1;
   // Snapshot readers evaluate single-threaded: concurrency comes from the
   // sessions themselves, and the shared worker pool is not coordinated
   // with the per-thread ReadView installation.

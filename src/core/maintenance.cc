@@ -6,10 +6,10 @@
 // tuple exactly when its count reaches zero. Recursive SCCs use
 // delete-rederive (DRed): an overestimate of deletions is cascaded over
 // the pre-update state, candidates that survive a rederivation probe are
-// kept, and the SCC's semi-naive fixpoint is resumed from the
-// pre-maintenance marks to close insertions transitively (save modules
-// compile every internal literal with a delta version, so lower-stratum
-// deltas flow through the resumed windows automatically).
+// kept, and a delta-first frontier loop closes insertions transitively:
+// each round joins every tuple above the pre-maintenance marks that the
+// previous round has not seen — rederivations, base-insertion heads and
+// lower-stratum internal deltas alike — against the live state.
 //
 // State reconstruction: ApplyUpdate mutates base relations before
 // Maintain runs, so during a pass the pre-update ("old") contents of a
@@ -212,8 +212,8 @@ class MaintenancePass {
   UpdateResult* result_;
 
   std::unordered_map<PredRef, PredDelta, PredRefHash> deltas_;
-  /// Pre-maintenance marks of every internal relation; the resumed
-  /// fixpoint's delta windows and the final-delta scans start here.
+  /// Pre-maintenance marks of every internal relation; the frontier
+  /// loop's first windows and the final-delta scans start here.
   std::unordered_map<PredRef, Mark, PredRefHash> m0_;
 };
 
@@ -532,7 +532,7 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
 
   // Phase 3: rederive. A candidate with an alternative derivation from
   // the post-deletion state is re-inserted; its re-insertion lands above
-  // m0 and seeds the resumed fixpoint, which closes transitive
+  // m0, where Phase 5's frontier loop picks it up and closes transitive
   // rederivations.
   for (auto& [p, vec] : deleted) {
     Relation* rel = inst_->internal(p);
@@ -545,10 +545,10 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
     }
   }
 
-  // Phase 4: base-predicate insertions. Internal-predicate insertions
-  // ride the delta windows of the resumed fixpoint (save modules compile
-  // every internal literal with a delta version), but base predicates
-  // have no delta versions — join their new tuples in explicitly.
+  // Phase 4: base-predicate insertions. New base tuples are not above
+  // any internal mark, so Phase 5 cannot see them: join them in here,
+  // delta-first. The heads land above m0 and seed Phase 5 (which also
+  // carries internal-predicate insertions).
   for (uint32_t ri : rules) {
     const Rule& rule = prog().rules[ri];
     PredRef h = rule.head.pred_ref();
@@ -666,8 +666,8 @@ Status MaintenancePass::Run(const UpdateDelta& delta) {
     d.plus_set.insert(vec.begin(), vec.end());
   }
 
-  // Snapshot every internal relation before any mutation: the resumed
-  // fixpoint and the final-delta scans both anchor here.
+  // Snapshot every internal relation before any mutation: the frontier
+  // loop and the final-delta scans both anchor here.
   for (const auto& [p, rel] : inst_->internal_) {
     m0_[p] = rel->Snapshot();
   }
@@ -731,11 +731,9 @@ bool MaterializedInstance::CanMaintain() const {
 Status MaterializedInstance::Maintain(const UpdateDelta& delta,
                                       UpdateResult* result) {
   CORAL_CHECK(complete_ && !in_step_);
-  maintenance_mode_ = true;
   trace_ = db_->trace_sink();
   MaintenancePass pass(this, result);
   Status st = pass.Run(delta);
-  maintenance_mode_ = false;
   if (!st.ok()) counts_valid_ = false;
   return st;
 }

@@ -123,12 +123,13 @@ class MaterializedInstance {
 
   /// Absorbs one committed base-relation delta into this completed
   /// instance: support-count propagation (the counting algorithm) for
-  /// non-recursive SCCs and delete-rederive (DRed) plus a resumed
-  /// semi-naive fixpoint for recursive ones (docs/MAINTENANCE.md). The
-  /// caller checked CanMaintain and serializes writers. Every join runs
-  /// on the VM; a rule outside the VM model or a non-ground stored tuple
-  /// ends the pass with Unsupported. On error the instance may be
-  /// half-updated and MUST be discarded.
+  /// non-recursive SCCs and delete-rederive (DRed) plus a delta-first
+  /// frontier loop that closes insertions for recursive ones
+  /// (docs/MAINTENANCE.md). The caller checked CanMaintain and
+  /// serializes writers. Every join runs on the VM; a rule outside the
+  /// VM model or a non-ground stored tuple ends the pass with
+  /// Unsupported. On error the instance may be half-updated and MUST be
+  /// discarded.
   Status Maintain(const UpdateDelta& delta, UpdateResult* result);
 
  private:
@@ -263,9 +264,6 @@ class MaterializedInstance {
   // deleted by maintenance, whatever their support count.
   std::unordered_map<PredRef, std::unordered_set<const Tuple*>, PredRefHash>
       engine_seeds_;
-  // Forces EffectiveThreads() == 1 while a maintenance pass (including
-  // its resumed fixpoint) runs: delta bookkeeping is single-threaded.
-  bool maintenance_mode_ = false;
   // The maintenance joins as bytecode, compiled (and their probe indexes
   // created) once per instance at the first pass, before it mutates
   // anything. maint_status_ is Unsupported when some rule has no

@@ -1,6 +1,6 @@
 #include "src/obs/server_metrics.h"
 
-#include <cstdio>
+#include "src/util/json.h"
 
 namespace coral::obs {
 
@@ -28,22 +28,17 @@ double ServerMetrics::LatencyQuantileMs(double q) const {
 }
 
 std::string ServerMetrics::ToJson() const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"queries\":%llu,\"consults\":%llu,\"errors\":%llu,"
-      "\"timeouts\":%llu,\"shed\":%llu,\"sessions_opened\":%llu,"
-      "\"open_sessions\":%lld,\"latency_p50_ms\":%.3f,"
-      "\"latency_p99_ms\":%.3f}",
-      static_cast<unsigned long long>(queries()),
-      static_cast<unsigned long long>(consults()),
-      static_cast<unsigned long long>(errors()),
-      static_cast<unsigned long long>(timeouts()),
-      static_cast<unsigned long long>(shed()),
-      static_cast<unsigned long long>(sessions_opened()),
-      static_cast<long long>(open_sessions()), LatencyQuantileMs(0.5),
-      LatencyQuantileMs(0.99));
-  return buf;
+  return JsonWriter()
+      .Field("queries", queries())
+      .Field("consults", consults())
+      .Field("errors", errors())
+      .Field("timeouts", timeouts())
+      .Field("shed", shed())
+      .Field("sessions_opened", sessions_opened())
+      .Field("open_sessions", open_sessions())
+      .Field("latency_p50_ms", LatencyQuantileMs(0.5))
+      .Field("latency_p99_ms", LatencyQuantileMs(0.99))
+      .Build();
 }
 
 }  // namespace coral::obs

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -28,9 +27,6 @@ struct RecoveryEvent {
   std::string what;    // "recover.start", "recover.torn_tail", ...
   std::string detail;  // human-readable context (path, txn, ...)
   uint64_t count = 0;
-
-  /// One-line JSON object, same single-line idiom as obs::TraceEvent.
-  std::string ToJson() const;
 };
 
 class StorageMetrics {
@@ -75,10 +71,6 @@ class StorageMetrics {
   /// Zeroes every counter and clears the event log (tests only; the
   /// storage layer never resets its own metrics).
   void Reset();
-
-  /// Renders a "=== CORAL storage metrics ===" section in the style of
-  /// obs/report. Zero-valued counters are omitted.
-  void Render(std::ostream& out) const;
 
   static constexpr size_t kMaxEvents = 1024;
 

@@ -44,8 +44,11 @@ struct TraceEvent {
 
   /// Single-line JSON object, no trailing newline.
   std::string ToJson() const;
-  /// Parses one line as produced by ToJson. Unknown keys are ignored;
-  /// a malformed line or unknown "ev" is kInvalidArgument.
+  /// Parses one line as produced by ToJson, with the shared JSON parser
+  /// (src/util/json.h). Unknown keys are ignored; a malformed line, a
+  /// missing or unknown "ev", a wrong-typed known field, or a number
+  /// outside its field's range (scc/rule in [0, INT32_MAX], iter/count/ns
+  /// in [0, 2^53]) is kInvalidArgument.
   static StatusOr<TraceEvent> FromJson(const std::string& line);
 };
 

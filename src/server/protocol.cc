@@ -1,7 +1,9 @@
 #include "src/server/protocol.h"
 
+#include <vector>
+
 #include "src/core/eval_context.h"
-#include "src/server/json.h"
+#include "src/util/json.h"
 
 namespace coral::server {
 
@@ -50,8 +52,13 @@ std::string ClientSession::Handle(const std::string& line) {
     return HandleQuery(q);
   }
   if (op == "consult") {
-    std::string program = req.GetString("program");
-    auto result = session_.Consult(program);
+    const JsonValue* program = req.Find("program");
+    if (program == nullptr || !program->is_string()) {
+      ctx_->metrics->RecordError();
+      return ErrorResponse(
+          Status::InvalidArgument("consult op needs string \"program\""));
+    }
+    auto result = session_.Consult(program->string_value);
     if (!result.ok()) {
       ctx_->metrics->RecordError();
       return ErrorResponse(result.status());
@@ -65,7 +72,13 @@ std::string ClientSession::Handle(const std::string& line) {
         .Build();
   }
   if (op == "load") {
-    auto result = session_.LoadFacts(req.GetString("facts"));
+    const JsonValue* facts = req.Find("facts");
+    if (facts == nullptr || !facts->is_string()) {
+      ctx_->metrics->RecordError();
+      return ErrorResponse(
+          Status::InvalidArgument("load op needs string \"facts\""));
+    }
+    auto result = session_.LoadFacts(facts->string_value);
     if (!result.ok()) {
       ctx_->metrics->RecordError();
       return ErrorResponse(result.status());
@@ -149,23 +162,22 @@ std::string ClientSession::HandleQuery(const std::string& q) {
   ctx_->metrics->RecordQuery(elapsed);
 
   // Rows render as an array of {var: term-text} objects.
-  std::string rows = "[";
   const QueryResult& qr = result.value();
-  for (size_t i = 0; i < qr.rows.size(); ++i) {
-    if (i > 0) rows += ',';
+  std::vector<std::string> rows;
+  rows.reserve(qr.rows.size());
+  for (const auto& answer : qr.rows) {
     JsonWriter row;
-    for (const auto& [name, term] : qr.rows[i].bindings) {
+    for (const auto& [name, term] : answer.bindings) {
       row.Field(name, term->ToString());
     }
-    rows += row.Build();
+    rows.push_back(row.Build());
   }
-  rows += ']';
   return JsonWriter()
       .Field("ok", true)
       .Field("epoch", session_.epoch())
       .Field("count", static_cast<int64_t>(qr.rows.size()))
       .Field("elapsed_ms", static_cast<double>(elapsed) / 1e6)
-      .RawField("rows", rows)
+      .ArrayField("rows", rows)
       .Build();
 }
 

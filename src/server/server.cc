@@ -12,7 +12,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "src/server/json.h"
+#include "src/util/json.h"
 #include "src/util/logging.h"
 
 namespace coral::server {
@@ -268,18 +268,16 @@ void Server::FrameRequests(const std::shared_ptr<Conn>& conn) {
                                           static_cast<size_t>(body_len));
     std::string request;
     if (start_line.rfind("GET /stats", 0) == 0) {
-      request = "{\"op\":\"stats\"}";
+      request = JsonWriter().Field("op", "stats").Build();
     } else if (start_line.rfind("GET /ping", 0) == 0) {
-      request = "{\"op\":\"ping\"}";
+      request = JsonWriter().Field("op", "ping").Build();
     } else if (start_line.rfind("POST /consult", 0) == 0) {
-      request = JsonWriter()
-                    .Field("op", std::string_view("consult"))
-                    .Field("program", std::string_view(body))
-                    .Build();
+      request =
+          JsonWriter().Field("op", "consult").Field("program", body).Build();
     } else if (start_line.rfind("POST ", 0) == 0) {
       request = std::move(body);  // POST / and POST /query: JSON op body
     } else {
-      request = "{\"op\":\"__unsupported_path__\"}";
+      request = JsonWriter().Field("op", "__unsupported_path__").Build();
     }
     conn->inbuf.clear();  // one-shot: ignore any pipelined extra bytes
     {

@@ -145,6 +145,25 @@ TEST(ApiTest, TraceEventJsonRoundTrip) {
   EXPECT_FALSE(obs::TraceEvent::FromJson("{\"scc\": 1}").ok());
   EXPECT_FALSE(obs::TraceEvent::FromJson("{\"ev\": \"nonsense\"}").ok());
   EXPECT_FALSE(obs::TraceEvent::FromJson("{\"ev\": \"insert\"").ok());
+  // Numbers outside a field's range and wrong-typed fields are rejected
+  // rather than wrapped or truncated.
+  for (const char* line :
+       {R"({"ev":"insert","count":-1})", R"({"ev":"insert","scc":-7})",
+        R"({"ev":"insert","rule":4294967297})",
+        R"({"ev":"iter_end","ns":1.5})", R"({"ev":1})",
+        R"({"ev":"insert","iter":18014398509481984})",
+        R"({"ev":"insert","detail":7})"}) {
+    auto bad = obs::TraceEvent::FromJson(line);
+    EXPECT_FALSE(bad.ok()) << line;
+    if (!bad.ok()) {
+      EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << line;
+    }
+  }
+  // \u escapes decode to UTF-8, as in every other JSON reader.
+  auto accented = obs::TraceEvent::FromJson(
+      R"({"ev":"insert","detail":"\u00e9"})");
+  ASSERT_TRUE(accented.ok()) << accented.status().ToString();
+  EXPECT_EQ(accented->detail, "\xC3\xA9");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// In-process tests of the query server stack: the JSON codec, the
-// admission queue's shed/drain behavior, and a real Server instance
+// In-process tests of the query server stack: the admission queue's
+// shed/drain behavior, protocol dispatch, and a real Server instance
 // driven over loopback sockets with both wire framings (JSONL and
 // HTTP one-shot). The cross-process path is tools/server_e2e.sh.
 
@@ -18,46 +18,13 @@
 
 #include "src/core/database.h"
 #include "src/server/admission.h"
-#include "src/server/json.h"
 #include "src/server/protocol.h"
 #include "src/server/server.h"
+#include "src/util/json.h"
 #include "src/util/sync.h"
 
 namespace coral::server {
 namespace {
-
-// ---- JSON codec ------------------------------------------------------------
-
-TEST(JsonTest, ParsesNestedDocument) {
-  auto parsed = ParseJson(
-      R"({"op":"query","q":"?- p(X).","n":42,"neg":-7,"f":1.5,)"
-      R"("flag":true,"null":null,"arr":[1,"two",{}],"obj":{"k":"v"}})");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue& v = parsed.value();
-  EXPECT_EQ(v.GetString("op"), "query");
-  EXPECT_EQ(v.GetString("q"), "?- p(X).");
-  EXPECT_EQ(v.GetInt("n"), 42);
-  EXPECT_EQ(v.GetInt("neg"), -7);
-  EXPECT_TRUE(v.Find("flag")->bool_value);
-  EXPECT_EQ(v.Find("arr")->array.size(), 3u);
-  EXPECT_EQ(v.Find("obj")->GetString("k"), "v");
-}
-
-TEST(JsonTest, EscapesRoundTrip) {
-  std::string nasty = "a\"b\\c\nd\te\rf";
-  std::string doc = JsonWriter().Field("s", nasty).Build();
-  auto parsed = ParseJson(doc);
-  ASSERT_TRUE(parsed.ok()) << doc;
-  EXPECT_EQ(parsed.value().GetString("s"), nasty);
-}
-
-TEST(JsonTest, RejectsMalformedInput) {
-  EXPECT_FALSE(ParseJson("{").ok());
-  EXPECT_FALSE(ParseJson(R"({"a":})").ok());
-  EXPECT_FALSE(ParseJson(R"({"a":1} trailing)").ok());
-  EXPECT_FALSE(ParseJson("").ok());
-  EXPECT_FALSE(ParseJson(R"({"s":"unterminated})").ok());
-}
 
 // ---- admission queue -------------------------------------------------------
 
@@ -182,6 +149,41 @@ TEST_F(ProtocolTest, HugeDeadlineSaturates) {
   std::string query = session.Handle(R"({"op":"query","q":"?- edge(1, X)."})");
   EXPECT_NE(query.find("\"ok\":true"), std::string::npos) << query;
   EXPECT_NE(query.find("\"count\":2"), std::string::npos) << query;
+}
+
+TEST_F(ProtocolTest, DeeplyNestedRequestIsRejected) {
+  // Nesting is bounded, so a hostile line is an error response instead
+  // of a parser stack overflow, and the session keeps serving.
+  ClientSession session(&ctx_);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  for (const std::string& req : {std::string(100000, '['), objects}) {
+    std::string resp = session.Handle(req);
+    EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("\"code\":\"InvalidArgument\""), std::string::npos)
+        << resp;
+  }
+  std::string ping = session.Handle(R"({"op":"ping"})");
+  EXPECT_NE(ping.find("\"ok\":true"), std::string::npos) << ping;
+}
+
+TEST_F(ProtocolTest, ConsultAndLoadRequireTheirTextMember) {
+  // "text" is not a member of either op: a request without "program" or
+  // "facts" must fail rather than succeed having loaded nothing.
+  ClientSession session(&ctx_);
+  for (const char* req : {R"({"op":"consult","text":"edge(1, 2)."})",
+                          R"({"op":"load","text":"edge(1, 2)."})",
+                          R"({"op":"load","facts":7})"}) {
+    std::string resp = session.Handle(req);
+    EXPECT_NE(resp.find("\"code\":\"InvalidArgument\""), std::string::npos)
+        << req << " -> " << resp;
+  }
+  EXPECT_EQ(metrics_.errors(), 3u);
+  // An empty text is still a legal (empty) program.
+  std::string empty = session.Handle(R"({"op":"consult","program":""})");
+  EXPECT_NE(empty.find("\"ok\":true"), std::string::npos) << empty;
+  std::string query = session.Handle(R"({"op":"query","q":"?- edge(1, X)."})");
+  EXPECT_NE(query.find("\"count\":0"), std::string::npos) << query;
 }
 
 // ---- full server over loopback --------------------------------------------

@@ -1,14 +1,18 @@
-// Unit tests for the utility layer: Status/StatusOr, Arena, hashing, BigInt.
+// Unit tests for the utility layer: Status/StatusOr, Arena, hashing, BigInt
+// and the JSON codec (with a seeded mutation fuzzer over its parser).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/util/arena.h"
 #include "src/util/bigint.h"
 #include "src/util/hash.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace coral {
@@ -202,6 +206,144 @@ TEST(BigIntTest, FitsInt64Boundaries) {
   auto under = BigInt::FromString("-9223372036854775809");
   ASSERT_TRUE(under.ok());
   EXPECT_FALSE(under->FitsInt64(&out));
+}
+
+// ---- JSON codec ------------------------------------------------------------
+
+TEST(JsonTest, ParsesNestedDocument) {
+  auto parsed = ParseJson(
+      R"({"op":"query","q":"?- p(X).","n":42,"neg":-7,"f":1.5,)"
+      R"("flag":true,"null":null,"arr":[1,"two",{}],"obj":{"k":"v"}})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& v = parsed.value();
+  EXPECT_EQ(v.GetString("op"), "query");
+  EXPECT_EQ(v.GetString("q"), "?- p(X).");
+  EXPECT_EQ(v.GetInt("n"), 42);
+  EXPECT_EQ(v.GetInt("neg"), -7);
+  EXPECT_TRUE(v.Find("flag")->bool_value);
+  EXPECT_EQ(v.Find("arr")->array.size(), 3u);
+  EXPECT_EQ(v.Find("obj")->GetString("k"), "v");
+}
+
+TEST(JsonTest, EscapesRoundTrip) {
+  std::string nasty = "a\"b\\c\nd\te\rf";
+  std::string doc = JsonWriter().Field("s", nasty).Build();
+  auto parsed = ParseJson(doc);
+  ASSERT_TRUE(parsed.ok()) << doc;
+  EXPECT_EQ(parsed.value().GetString("s"), nasty);
+}
+
+TEST(JsonTest, RejectsMalformedInput) {
+  EXPECT_FALSE(ParseJson("{").ok());
+  EXPECT_FALSE(ParseJson(R"({"a":})").ok());
+  EXPECT_FALSE(ParseJson(R"({"a":1} trailing)").ok());
+  EXPECT_FALSE(ParseJson("").ok());
+  EXPECT_FALSE(ParseJson(R"({"s":"unterminated})").ok());
+}
+
+
+TEST(JsonTest, RejectsDeepNesting) {
+  // Both documents overflowed the recursive parser's stack before
+  // nesting was bounded.
+  EXPECT_EQ(ParseJson(std::string(100000, '[')).status().code(),
+            StatusCode::kInvalidArgument);
+  std::string chain;
+  for (int i = 0; i < 100000; ++i) chain += "{\"a\":";
+  EXPECT_EQ(ParseJson(chain).status().code(), StatusCode::kInvalidArgument);
+
+  // The bound is exact: kMaxJsonDepth levels parse, one more does not.
+  auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(ParseJson(nested(kMaxJsonDepth)).ok());
+  EXPECT_EQ(ParseJson(nested(kMaxJsonDepth + 1)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// ---- JSON mutation fuzzing -------------------------------------------------
+
+// Valid documents to mutate: wire requests and responses, and trace
+// lines as TraceEvent::ToJson writes them.
+std::vector<std::string> FuzzCorpus() {
+  std::vector<std::string> corpus = {
+      R"({"op":"query","q":"?- path(1, X)."})",
+      R"({"op":"consult","program":"edge(1, 2).\nedge(2, 3).\n"})",
+      R"({"op":"load","facts":"edge(3, 4)."})",
+      R"({"op":"bind","name":"src","value":-17})",
+      R"({"op":"deadline","ms":2.5e3})",
+      R"({"ok":true,"epoch":3,"count":2,"rows":[{"X":"2"},{"X":"3"}]})",
+      R"({"a":[1,[2,[3,{"b":null,"c":false,"d":"é\t"}]]]})",
+  };
+  obs::TraceEvent ev;
+  ev.kind = obs::TraceKind::kRuleFire;
+  ev.module = "m1";
+  ev.pred = "p/2";
+  ev.detail = "p(a, \"quo\\ted\nline\")";
+  ev.scc = 3;
+  ev.rule = 7;
+  ev.iter = 12;
+  ev.count = 42;
+  ev.ns = 1234567;
+  corpus.push_back(ev.ToJson());
+  obs::TraceEvent bare;
+  bare.kind = obs::TraceKind::kIterBegin;
+  corpus.push_back(bare.ToJson());
+  return corpus;
+}
+
+// One to four edits: byte flips, truncations, runs of brackets (deep
+// enough to cross kMaxJsonDepth) and runs of quotes or backslashes.
+std::string Mutate(std::string s, std::mt19937* rng) {
+  auto pick = [rng](size_t n) { return static_cast<size_t>((*rng)() % n); };
+  size_t edits = 1 + pick(4);
+  for (size_t e = 0; e < edits; ++e) {
+    size_t pos = pick(s.size() + 1);
+    switch (pick(4)) {
+      case 0:
+        if (!s.empty()) {
+          s[pos % s.size()] ^= static_cast<char>(1 + pick(255));
+        }
+        break;
+      case 1:
+        s.resize(pos);
+        break;
+      case 2:
+        s.insert(pos, 1 + pick(100), "[{]}"[pick(4)]);
+        break;
+      default:
+        s.insert(pos, 1 + pick(8), pick(2) == 0 ? '"' : '\\');
+        break;
+    }
+  }
+  return s;
+}
+
+TEST(JsonFuzzTest, MutantsParseOrAreRejected) {
+  // Every mutant must parse, or be rejected with InvalidArgument, by both
+  // ParseJson and the trace reader built on it. A trace event that is
+  // accepted must survive its own round trip.
+  const std::vector<std::string> corpus = FuzzCorpus();
+  for (uint32_t seed : {1u, 2u, 3u, 17u, 42u, 1993u, 31337u, 0xC0DEu}) {
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    for (int i = 0; i < 500; ++i) {
+      std::string doc = Mutate(corpus[rng() % corpus.size()], &rng);
+      StatusOr<JsonValue> parsed = ParseJson(doc);
+      if (!parsed.ok()) {
+        ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+            << doc;
+      }
+      StatusOr<obs::TraceEvent> ev = obs::TraceEvent::FromJson(doc);
+      if (!ev.ok()) {
+        ASSERT_EQ(ev.status().code(), StatusCode::kInvalidArgument) << doc;
+        continue;
+      }
+      ASSERT_TRUE(parsed.ok()) << doc;
+      StatusOr<obs::TraceEvent> again = obs::TraceEvent::FromJson(ev->ToJson());
+      ASSERT_TRUE(again.ok()) << doc;
+      EXPECT_EQ(again->ToJson(), ev->ToJson()) << doc;
+    }
+  }
 }
 
 }  // namespace

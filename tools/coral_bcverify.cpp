@@ -35,13 +35,11 @@
 
 #include <coral/coral.h>
 
-#include "src/util/json_escape.h"
+#include "src/util/json.h"
 #include "src/vm/bytecode.h"
 #include "src/vm/verifier.h"
 
 namespace {
-
-using coral::JsonEscape;
 
 struct Verdict {
   std::string file;
@@ -59,32 +57,32 @@ struct Verdict {
 };
 
 std::string RenderJson(const Verdict& v) {
-  std::ostringstream os;
-  os << "{\"file\":\"" << JsonEscape(v.file) << "\"";
-  if (!v.module.empty()) {
-    os << ",\"module\":\"" << JsonEscape(v.module) << "\"";
-  }
-  if (!v.form.empty()) os << ",\"form\":\"" << JsonEscape(v.form) << "\"";
+  coral::JsonWriter out;
+  out.Field("file", v.file);
+  if (!v.module.empty()) out.Field("module", v.module);
+  if (!v.form.empty()) out.Field("form", v.form);
   if (v.status == "error" || v.status == "interpreted") {
-    os << ",\"status\":\"" << v.status << "\",\"message\":\""
-       << JsonEscape(v.error) << "\"}";
-    return os.str();
+    return out.Field("status", v.status).Field("message", v.error).Build();
   }
   if (v.from_module) {
-    os << ",\"scc\":" << v.scc << ",\"kind\":\""
-       << (v.once ? "once" : "version") << "\",\"index\":" << v.index;
+    out.Field("scc", v.scc)
+        .Field("kind", v.once ? "once" : "version")
+        .Field("index", v.index);
   }
-  os << ",\"rule\":" << v.rule << ",\"head\":\"" << JsonEscape(v.head)
-     << "\",\"status\":\"" << v.status << "\",\"findings\":[";
-  for (size_t i = 0; i < v.findings.size(); ++i) {
-    const coral::vm::VerifyFinding& f = v.findings[i];
-    if (i > 0) os << ",";
-    os << "{\"severity\":\"" << coral::vm::VerifySeverityName(f.severity)
-       << "\",\"code\":\"" << f.code << "\",\"message\":\""
-       << JsonEscape(f.message) << "\"}";
+  std::vector<std::string> findings;
+  for (const coral::vm::VerifyFinding& f : v.findings) {
+    findings.push_back(
+        coral::JsonWriter()
+            .Field("severity", coral::vm::VerifySeverityName(f.severity))
+            .Field("code", f.code)
+            .Field("message", f.message)
+            .Build());
   }
-  os << "]}";
-  return os.str();
+  return out.Field("rule", v.rule)
+      .Field("head", v.head)
+      .Field("status", v.status)
+      .ArrayField("findings", findings)
+      .Build();
 }
 
 std::string RenderText(const Verdict& v) {

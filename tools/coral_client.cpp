@@ -243,7 +243,9 @@ int main(int argc, char** argv) {
     int fd = Connect(host, port);
     if (fd >= 0) {
       std::string buf, line;
-      if (SendLine(fd, "{\"op\":\"stats\"}") && RecvLine(fd, &buf, &line)) {
+      std::string req =
+          coral::server::JsonWriter().Field("op", "stats").Build();
+      if (SendLine(fd, req) && RecvLine(fd, &buf, &line)) {
         std::cout << line << "\n";
       }
       close(fd);
