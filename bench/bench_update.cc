@@ -9,11 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/database.h"
 #include "src/core/session.h"
+#include "src/lang/parser.h"
 
 namespace coral {
 namespace {
@@ -174,6 +177,81 @@ BENCHMARK(BM_BatchUpdate_Maintained)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BatchUpdate_Recompute)
     ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Write burst: `writes` one-fact InsertFact calls with no read between
+/// them, then one probe. This is the traffic of Coral::Insert in a C++
+/// loop or of assert in a pipelined rule. With maintenance every write
+/// repairs the instance, and the first one after materialization pays
+/// the pass's one-time support counting and probe-index backfill; without
+/// it the first write drops the instance, the rest find nothing to
+/// repair, and the probe recomputes. Each iteration starts untimed from a
+/// freshly materialized instance; each write extends a chain's end with
+/// a fresh edge, so every write is a real change.
+void RunWriteBurst(benchmark::State& state, bool maintain) {
+  int edges = static_cast<int>(state.range(0));
+  int writes = static_cast<int>(state.range(1));
+  int chains = edges / kChainLen;
+  std::string graph = ChainGraph(edges);
+  std::string burst;
+  for (int k = 0; k < writes; ++k) {
+    std::string p = "c" + std::to_string(k % chains) + "n";
+    burst += "edge(" + p + std::to_string(kChainLen) + ", x" +
+             std::to_string(k) + ").\n";
+  }
+  std::unique_ptr<Database> db;
+  for (auto _ : state) {
+    state.PauseTiming();
+    db = std::make_unique<Database>();
+    db->set_maintenance(maintain);
+    if (!db->Consult(kTcModule).ok() || !db->Consult(graph).ok() ||
+        !db->EvalQuery("tc(c0n0, Y)").ok()) {
+      state.SkipWithError("setup failed");
+      return;
+    }
+    Parser parser(burst, db->factory());
+    auto prog = parser.ParseProgram();
+    if (!prog.ok()) {
+      state.SkipWithError(prog.status().ToString().c_str());
+      return;
+    }
+    state.ResumeTiming();
+    for (const Rule& fact : prog->top_facts) {
+      auto ins = db->InsertFact(fact);
+      if (!ins.ok() || !*ins) {
+        state.SkipWithError("insert failed");
+        return;
+      }
+    }
+    auto res = db->EvalQuery("tc(c0n0, Y)");
+    if (!res.ok()) {
+      state.SkipWithError(res.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(res->rows.size());
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+}
+
+void BM_WriteBurstThenQuery_Maintained(benchmark::State& state) {
+  RunWriteBurst(state, /*maintain=*/true);
+}
+void BM_WriteBurstThenQuery_Recompute(benchmark::State& state) {
+  RunWriteBurst(state, /*maintain=*/false);
+}
+BENCHMARK(BM_WriteBurstThenQuery_Maintained)
+    ->Args({10000, 1})
+    ->Args({10000, 100})
+    ->Args({10000, 1000})
+    ->Args({10000, 3000})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WriteBurstThenQuery_Recompute)
+    ->Args({10000, 1})
+    ->Args({10000, 100})
+    ->Args({10000, 1000})
+    ->Args({10000, 3000})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -51,9 +51,8 @@ class OnceFnGenerator : public BuiltinGenerator {
   bool done_ = false;
 };
 
-/// Extracts (pred, args tuple) from a reified fact term like p(a, b).
-StatusOr<std::pair<PredRef, const Tuple*>> ReifyFact(TermRef t,
-                                                     TermFactory* factory) {
+/// The fact a reified term like p(a, b) denotes.
+StatusOr<Rule> ReifyFact(TermRef t, TermFactory* factory) {
   TermRef r = Deref(t.term, t.env);
   if (r.term->kind() != ArgKind::kAtomOrFunctor) {
     return Status::InvalidArgument("assert/retract need a predicate term");
@@ -63,7 +62,11 @@ StatusOr<std::pair<PredRef, const Tuple*>> ReifyFact(TermRef t,
   refs.reserve(f->arity());
   for (const Arg* a : f->args()) refs.push_back({a, r.env});
   const Tuple* tuple = ResolveTuple(refs, factory);
-  return std::make_pair(PredRef{f->functor(), f->arity()}, tuple);
+  Rule fact;
+  fact.head.pred = f->functor();
+  fact.head.args.assign(tuple->args().begin(), tuple->args().end());
+  fact.var_count = tuple->var_count();
+  return fact;
 }
 
 }  // namespace
@@ -84,13 +87,8 @@ Database::Database()
         return std::unique_ptr<BuiltinGenerator>(
             new OnceFnGenerator([db, t, factory](Trail*) {
               auto fact = ReifyFact(t, factory);
-              if (!fact.ok()) return false;
-              Relation* rel = db->GetOrCreateBaseRelation(fact->first);
-              if (!rel->ValidateInsert(fact->second).ok()) return false;
-              if (rel->Insert(fact->second)) {
-                db->modules()->InvalidateDependents(fact->first);
-              }
-              return true;  // succeeds even if a duplicate (like Prolog)
+              // Succeeds even if a duplicate (like Prolog).
+              return fact.ok() && db->InsertFact(*fact).ok();
             }));
       });
   builtins_.Register(
@@ -102,22 +100,8 @@ Database::Database()
             new OnceFnGenerator([db, t, factory](Trail*) {
               auto fact = ReifyFact(t, factory);
               if (!fact.ok()) return false;
-              Relation* rel = db->FindBaseRelation(fact->first);
-              if (rel == nullptr) return false;
-              // Delete every stored fact the pattern subsumes.
-              std::vector<const Tuple*> doomed;
-              std::unique_ptr<TupleIterator> it = rel->Scan();
-              while (const Tuple* stored = it->Next()) {
-                if (SubsumesTuple(fact->second, stored)) {
-                  doomed.push_back(stored);
-                }
-              }
-              size_t removed = 0;
-              for (const Tuple* d : doomed) removed += rel->Delete(d);
-              if (removed > 0) {
-                db->modules()->InvalidateDependents(fact->first);
-              }
-              return removed > 0;
+              auto removed = db->DeleteFacts(*fact);
+              return removed.ok() && *removed > 0;
             }));
       });
 }
@@ -190,24 +174,12 @@ Status Database::RegisterRelation(const PredRef& pred,
     return Status::InvalidArgument("relation arity mismatch for " +
                                    pred.ToString());
   }
-  WriterLock commit(&commit_mu_);
-  snapshot_stale_.store(true, std::memory_order_release);
-  if (auto* mr = dynamic_cast<MemoryRelation*>(relation.get())) {
-    mr->MarkSharedBase();
-  }
-  // Non-MemoryRelation registrations (persistent / computed relations)
-  // have no snapshot protocol; concurrent sessions read them live, which
-  // is safe only if the implementation is itself thread-safe.
   Relation* raw = relation.get();
   {
     MutexLock lock(&base_mu_);
     owned_relations_.push_back(std::move(relation));
-    base_[pred] = raw;
   }
-  // The predicate's contents changed wholesale; any saved instance that
-  // read it (or its previous registration) is stale.
-  modules_->InvalidateDependents(pred);
-  return Status::OK();
+  return RegisterExternalRelation(pred, raw);
 }
 
 Status Database::RegisterExternalRelation(const PredRef& pred,
@@ -219,6 +191,9 @@ Status Database::RegisterExternalRelation(const PredRef& pred,
   }
   WriterLock commit(&commit_mu_);
   snapshot_stale_.store(true, std::memory_order_release);
+  // Non-MemoryRelation registrations (persistent / computed relations)
+  // have no snapshot protocol; concurrent sessions read them live, which
+  // is safe only if the implementation is itself thread-safe.
   if (auto* mr = dynamic_cast<MemoryRelation*>(relation)) {
     mr->MarkSharedBase();
   }
@@ -226,79 +201,86 @@ Status Database::RegisterExternalRelation(const PredRef& pred,
     MutexLock lock(&base_mu_);
     base_[pred] = relation;
   }
+  // The predicate's contents changed wholesale; any saved instance that
+  // read it (or its previous registration) is stale.
   modules_->InvalidateDependents(pred);
   return Status::OK();
 }
 
 StatusOr<bool> Database::InsertFact(const Rule& fact) {
+  UpdateBatch batch;
+  batch.inserts.push_back(fact);
   WriterLock commit(&commit_mu_);
-  snapshot_stale_.store(true, std::memory_order_release);
-  return InsertFactLocked(fact);
-}
-
-StatusOr<bool> Database::InsertFactLocked(const Rule& fact) {
-  if (!fact.is_fact()) {
-    return Status::InvalidArgument("not a fact: " + fact.ToString());
-  }
-  PredRef pred = fact.head.pred_ref();
-  Relation* rel = GetOrCreateBaseRelation(pred);
-  const Tuple* t = factory_->MakeTuple(fact.head.args);
-  CORAL_RETURN_IF_ERROR(rel->ValidateInsert(t));
-  bool changed = rel->Insert(t);
-  // A saved module instance that read this predicate must never serve the
-  // pre-insert answers; the point update path (ApplyUpdate) maintains
-  // instead of dropping.
-  if (changed) modules_->InvalidateDependents(pred);
-  return changed;
+  CORAL_ASSIGN_OR_RETURN(UpdateResult result, CommitLocked(batch));
+  return result.base_inserted > 0;
 }
 
 StatusOr<size_t> Database::DeleteFacts(const Rule& fact) {
-  if (!fact.is_fact()) {
-    return Status::InvalidArgument("not a fact: " + fact.ToString());
-  }
+  UpdateBatch batch;
+  batch.deletes.push_back(fact);
   WriterLock commit(&commit_mu_);
-  snapshot_stale_.store(true, std::memory_order_release);
-  PredRef pred = fact.head.pred_ref();
-  Relation* rel = FindBaseRelation(pred);
-  if (rel == nullptr) return size_t{0};
-  const Tuple* pattern = factory_->MakeTuple(fact.head.args);
-  std::vector<const Tuple*> doomed;
-  std::unique_ptr<TupleIterator> it = rel->Scan();
-  while (const Tuple* t = it->Next()) {
-    if (SubsumesTuple(pattern, t)) doomed.push_back(t);
-  }
-  size_t removed = 0;
-  for (const Tuple* t : doomed) removed += rel->Delete(t);
-  if (removed > 0) modules_->InvalidateDependents(pred);
-  return removed;
+  CORAL_ASSIGN_OR_RETURN(UpdateResult result, CommitLocked(batch));
+  return result.base_deleted;
 }
 
 StatusOr<UpdateResult> Database::ApplyUpdate(const UpdateBatch& batch) {
   WriterLock commit(&commit_mu_);
-  snapshot_stale_.store(true, std::memory_order_release);
   maintenance_counters_.updates.fetch_add(1, std::memory_order_relaxed);
+  return CommitLocked(batch);
+}
+
+StatusOr<UpdateResult> Database::CommitLocked(const UpdateBatch& batch) {
+  // A writer acts on live state, even from a session thread whose query
+  // (assert/retract) evaluates under a snapshot.
+  ScopedReadView live(nullptr);
+  snapshot_stale_.store(true, std::memory_order_release);
+
+  // Validate the whole batch before the first mutation, so a rejected
+  // batch changes nothing; each fact's relation and tuple are resolved
+  // once. A relation that does not exist yet will be a fresh
+  // HashRelation, which accepts any tuple.
+  struct Resolved {
+    PredRef pred;
+    Relation* rel;  // nullptr: no such relation yet
+    const Tuple* tuple;
+  };
+  auto resolve = [this](const std::vector<Rule>& facts,
+                        std::vector<Resolved>* out) -> Status {
+    out->reserve(facts.size());
+    for (const Rule& fact : facts) {
+      if (!fact.is_fact()) {
+        return Status::InvalidArgument("not a fact: " + fact.ToString());
+      }
+      PredRef pred = fact.head.pred_ref();
+      out->push_back({pred, FindBaseRelation(pred),
+                      factory_->MakeTuple(fact.head.args)});
+    }
+    return Status::OK();
+  };
+  std::vector<Resolved> deletes, inserts;
+  CORAL_RETURN_IF_ERROR(resolve(batch.deletes, &deletes));
+  CORAL_RETURN_IF_ERROR(resolve(batch.inserts, &inserts));
+  for (const Resolved& ins : inserts) {
+    if (ins.rel != nullptr) {
+      CORAL_RETURN_IF_ERROR(ins.rel->ValidateInsert(ins.tuple));
+    }
+  }
 
   UpdateDelta delta;
   UpdateResult result;
 
-  // Deletions first: patterns, subsumption-expanded like DeleteFacts,
-  // recording the stored tuples actually removed.
-  for (const Rule& fact : batch.deletes) {
-    if (!fact.is_fact()) {
-      return Status::InvalidArgument("not a fact: " + fact.ToString());
-    }
-    PredRef pred = fact.head.pred_ref();
-    Relation* rel = FindBaseRelation(pred);
-    if (rel == nullptr) continue;
-    const Tuple* pattern = factory_->MakeTuple(fact.head.args);
+  // Deletions first: every stored tuple a pattern subsumes, recording the
+  // tuples actually removed.
+  for (const Resolved& del : deletes) {
+    if (del.rel == nullptr) continue;
     std::vector<const Tuple*> doomed;
-    std::unique_ptr<TupleIterator> it = rel->Scan();
+    std::unique_ptr<TupleIterator> it = del.rel->Scan();
     while (const Tuple* t = it->Next()) {
-      if (SubsumesTuple(pattern, t)) doomed.push_back(t);
+      if (SubsumesTuple(del.tuple, t)) doomed.push_back(t);
     }
     for (const Tuple* t : doomed) {
-      if (rel->Delete(t)) {
-        delta.minus[pred].push_back(t);
+      if (del.rel->Delete(t)) {
+        delta.minus[del.pred].push_back(t);
         if (!t->IsGround()) delta.ground_only = false;
         ++result.base_deleted;
       }
@@ -306,17 +288,12 @@ StatusOr<UpdateResult> Database::ApplyUpdate(const UpdateBatch& batch) {
   }
 
   // Then insertions.
-  for (const Rule& fact : batch.inserts) {
-    if (!fact.is_fact()) {
-      return Status::InvalidArgument("not a fact: " + fact.ToString());
-    }
-    PredRef pred = fact.head.pred_ref();
-    Relation* rel = GetOrCreateBaseRelation(pred);
-    const Tuple* t = factory_->MakeTuple(fact.head.args);
-    CORAL_RETURN_IF_ERROR(rel->ValidateInsert(t));
-    if (rel->Insert(t)) {
-      delta.plus[pred].push_back(t);
-      if (!t->IsGround()) delta.ground_only = false;
+  for (const Resolved& ins : inserts) {
+    Relation* rel =
+        ins.rel != nullptr ? ins.rel : GetOrCreateBaseRelation(ins.pred);
+    if (rel->Insert(ins.tuple)) {
+      delta.plus[ins.pred].push_back(ins.tuple);
+      if (!ins.tuple->IsGround()) delta.ground_only = false;
       ++result.base_inserted;
     }
   }
@@ -407,9 +384,9 @@ StatusOr<std::vector<Query>> Database::ConsultLocked(std::string_view text) {
   for (const AggSelDecl& decl : prog.top_agg_selections) {
     CORAL_RETURN_IF_ERROR(ApplyAggSelDecl(decl));
   }
-  for (const Rule& fact : prog.top_facts) {
-    CORAL_RETURN_IF_ERROR(InsertFactLocked(fact).status());
-  }
+  UpdateBatch facts;
+  facts.inserts = std::move(prog.top_facts);
+  CORAL_RETURN_IF_ERROR(CommitLocked(facts).status());
   for (ModuleDecl& mod : prog.modules) {
     CORAL_RETURN_IF_ERROR(
         modules_->AddModule(std::move(mod), &last_diagnostics_));
@@ -544,15 +521,15 @@ std::string Database::ProfileReport() const {
   std::string out = obs::RenderReport(stats_);
   const obs::MaintenanceCounters& mc = maintenance_counters_;
   uint64_t updates = mc.updates.load(std::memory_order_relaxed);
-  if (updates > 0) {
+  uint64_t maintained = mc.maintained.load(std::memory_order_relaxed);
+  uint64_t invalidated = mc.invalidated.load(std::memory_order_relaxed);
+  // Every base write repairs or drops saved instances, but only
+  // ApplyUpdate calls count as batches: show the section on either.
+  if (updates + maintained + invalidated > 0) {
     out += "--- incremental updates ---\n";
-    out += "update batches:    " + std::to_string(updates) + "\n";
-    out += "maintained:        " +
-           std::to_string(mc.maintained.load(std::memory_order_relaxed)) +
-           "\n";
-    out += "invalidated:       " +
-           std::to_string(mc.invalidated.load(std::memory_order_relaxed)) +
-           "\n";
+    out += "ApplyUpdate calls: " + std::to_string(updates) + "\n";
+    out += "maintained:        " + std::to_string(maintained) + "\n";
+    out += "invalidated:       " + std::to_string(invalidated) + "\n";
     out += "derived inserted:  " +
            std::to_string(
                mc.derived_inserted.load(std::memory_order_relaxed)) +

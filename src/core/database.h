@@ -47,9 +47,10 @@ struct QueryResult {
 
 /// Thread-safety contract (docs/API.md has the per-method table):
 /// - Mutators — Consult / ConsultFile / InsertFact / DeleteFacts /
-///   RegisterRelation / RegisterExternalRelation — are writer commits:
-///   they serialize on the commit lock and may run while reader sessions
-///   evaluate against their snapshots.
+///   ApplyUpdate / RegisterRelation / RegisterExternalRelation, and the
+///   assert/retract builtins — are writer commits: they serialize on the
+///   commit lock and may run while reader sessions evaluate against their
+///   snapshots.
 /// - Queries — ExecuteQuery / EvalQuery — are safe from many threads
 ///   concurrently with commits PROVIDED each calling thread evaluates
 ///   under a Session (which installs a ReadView snapshot and enables
@@ -83,18 +84,22 @@ class Database {
   Status RegisterExternalRelation(const PredRef& pred, Relation* relation);
 
   /// Inserts a fact (rule with empty body; may be non-ground) into its
-  /// base relation. Returns true if the relation changed.
+  /// base relation as a one-fact ApplyUpdate commit. Returns true if the
+  /// relation changed.
   StatusOr<bool> InsertFact(const Rule& fact);
-  /// Deletes all stored facts subsumed by the given fact pattern;
-  /// returns how many were removed.
+  /// Deletes all stored facts subsumed by the given fact pattern as a
+  /// one-pattern ApplyUpdate commit; returns how many were removed.
   StatusOr<size_t> DeleteFacts(const Rule& fact);
 
-  /// Commits one batch of base-fact mutations atomically — deletions
-  /// first (patterns, subsumption-expanded like DeleteFacts), then
-  /// insertions — and brings every affected saved module instance up to
-  /// date: incrementally (counting / DRed, docs/MAINTENANCE.md) where the
-  /// module's shape is covered, by invalidation otherwise. Either way, no
-  /// later query can observe a stale answer. Returns what was done.
+  /// The one commit path for base facts (InsertFact, DeleteFacts,
+  /// Consult's facts, Session::LoadFacts and assert/retract use it too).
+  /// Commits one batch atomically on live state: the whole batch is
+  /// validated first, so a rejected batch changes nothing; then deletions
+  /// (patterns, subsumption-expanded), then insertions. Every affected
+  /// saved module instance is brought up to date: incrementally (counting
+  /// / DRed, docs/MAINTENANCE.md) where the module's shape is covered, by
+  /// invalidation otherwise or while its answers are being scanned.
+  /// Either way, no later query can observe a stale answer.
   StatusOr<UpdateResult> ApplyUpdate(const UpdateBatch& batch);
 
   /// Counters for the update path (updates committed, instances
@@ -103,8 +108,8 @@ class Database {
     return maintenance_counters_;
   }
 
-  /// When off, ApplyUpdate never maintains incrementally: every affected
-  /// saved instance is invalidated and recomputed by its next query.
+  /// When off, no commit maintains incrementally: every affected saved
+  /// instance is invalidated and recomputed by its next query.
   /// Answers are identical either way — this is the from-scratch baseline
   /// for bench_update and a workaround switch should a maintenance bug
   /// ever need ruling out in the field.
@@ -262,7 +267,8 @@ class Database {
   Status ApplyAggSelDecl(const AggSelDecl& decl) CORAL_REQUIRES(commit_mu_);
   StatusOr<std::vector<Query>> ConsultLocked(std::string_view text)
       CORAL_REQUIRES(commit_mu_);
-  StatusOr<bool> InsertFactLocked(const Rule& fact)
+  /// The body of ApplyUpdate, shared by every base-fact write.
+  StatusOr<UpdateResult> CommitLocked(const UpdateBatch& batch)
       CORAL_REQUIRES(commit_mu_);
   /// Publishes dirty shared relations at a new epoch and rebuilds the
   /// cached view.

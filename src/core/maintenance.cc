@@ -693,7 +693,7 @@ Status MaintenancePass::Run(const UpdateDelta& delta) {
 }
 
 bool MaterializedInstance::CanMaintain() const {
-  if (!complete_ || in_step_) return false;
+  if (!complete_ || in_step_ || open_scans_.load() > 0) return false;
   if (prog_->ordered_search || decl_->explain) return false;
   if (decl_->fixpoint != FixpointKind::kBasicSemiNaive) return false;
   if (!decl_->agg_selections.empty()) return false;

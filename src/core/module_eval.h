@@ -8,6 +8,7 @@
 #ifndef CORAL_CORE_MODULE_EVAL_H_
 #define CORAL_CORE_MODULE_EVAL_H_
 
+#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -118,8 +119,15 @@ class MaterializedInstance {
   /// heads or selections), no multiset relations, no inter-module body
   /// literals, and every stored body predicate an in-memory relation.
   /// Uncovered shapes fall back to invalidation (the caller drops the
-  /// instance); so do rules Maintain cannot compile to bytecode.
+  /// instance); so do rules Maintain cannot compile to bytecode and an
+  /// instance whose answers are being scanned.
   bool CanMaintain() const;
+
+  /// Brackets a scan of this instance's answers. Repairing answers under
+  /// an open scan could feed it without bound (a query that asserts a
+  /// fact per answer), so the scan keeps CanMaintain false.
+  void OpenAnswerScan() { open_scans_.fetch_add(1); }
+  void CloseAnswerScan() { open_scans_.fetch_sub(1); }
 
   /// Absorbs one committed base-relation delta into this completed
   /// instance: support-count propagation (the counting algorithm) for
@@ -241,6 +249,7 @@ class MaterializedInstance {
   std::vector<bool> once_done_;
   bool complete_ = false;
   bool in_step_ = false;
+  std::atomic<int> open_scans_{0};
   std::vector<const Tuple*> pending_seeds_;  // Ordered Search seeds
 
   // Per-SCC previous marks (BSN) and per-version marks (PSN).

@@ -30,7 +30,9 @@ class EagerAnswerIterator : public TupleIterator {
       refs.push_back({goal_->arg(i), env_.get()});
     }
     scan_ = inst_->answer_relation()->Select(refs, 0, kMaxMark);
+    inst_->OpenAnswerScan();
   }
+  ~EagerAnswerIterator() override { inst_->CloseAnswerScan(); }
   const Tuple* Next() override { return scan_->Next(); }
 
  private:

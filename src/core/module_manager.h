@@ -94,11 +94,10 @@ class ModuleManager {
 
   /// Drops the saved instance of every compiled form that (transitively
   /// within the module) reads base predicate `pred` — or that calls into
-  /// another module, where dependencies are not tracked. Called by the
-  /// database on any base-fact mutation that bypasses ApplyUpdate
-  /// (InsertFact, DeleteFacts, Consult, assert/retract, relation
-  /// registration): stale answers are never served; the next query
-  /// recomputes.
+  /// another module, where dependencies are not tracked. Called when a
+  /// relation registration replaces a predicate's contents wholesale
+  /// (every base-fact write goes through ApplyUpdate instead): stale
+  /// answers are never served; the next query recomputes.
   void InvalidateDependents(const PredRef& pred);
 
   /// Bytecode verifier outcome of one compiled query form (docs/VM.md

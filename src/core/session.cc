@@ -76,13 +76,11 @@ StatusOr<size_t> Session::LoadFacts(std::string_view text) {
         "LoadFacts text must contain only facts; use Consult for "
         "programs");
   }
-  size_t inserted = 0;
-  for (const Rule& fact : prog.top_facts) {
-    CORAL_ASSIGN_OR_RETURN(bool fresh, db_->InsertFact(fact));
-    if (fresh) ++inserted;
-  }
+  UpdateBatch batch;
+  batch.inserts = std::move(prog.top_facts);
+  CORAL_ASSIGN_OR_RETURN(UpdateResult result, db_->ApplyUpdate(batch));
   Refresh();
-  return inserted;
+  return result.base_inserted;
 }
 
 StatusOr<UpdateResult> Session::ApplyUpdate(std::string_view text) {

@@ -154,11 +154,12 @@ class ModuleProfile {
 };
 
 /// Database-wide counters for the incremental update path
-/// (Database::ApplyUpdate, docs/MAINTENANCE.md). Relaxed atomics: updates
-/// serialize on the commit lock, so sums are exact; atomics only make
-/// concurrent readers (ProfileReport) race-free.
+/// (docs/MAINTENANCE.md). Every base write feeds them; `updates` counts
+/// only Database::ApplyUpdate calls. Relaxed atomics: commits serialize
+/// on the commit lock, so sums are exact; atomics only make concurrent
+/// readers (ProfileReport) race-free.
 struct MaintenanceCounters {
-  std::atomic<uint64_t> updates{0};      // ApplyUpdate batches committed
+  std::atomic<uint64_t> updates{0};      // ApplyUpdate calls
   std::atomic<uint64_t> maintained{0};   // saved instances updated in place
   std::atomic<uint64_t> invalidated{0};  // saved instances dropped
   std::atomic<uint64_t> derived_inserted{0};

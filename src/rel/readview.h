@@ -1,14 +1,15 @@
 // Copyright (c) 1993-style CORAL reproduction authors.
 // Epoch snapshots of shared base relations for the multi-client query
-// server: a writer commit (Database::Consult / InsertFact / DeleteFacts)
-// publishes, per dirty relation, an immutable RelReadTable — the frozen
-// subsidiary organization (paper §3.2 marks) plus a copy-on-write
-// tombstone set. Reader threads install a ReadView (the set of published
-// tables at one epoch) for the duration of a query; every relation access
-// the evaluation makes on a shared base relation is served from the view,
-// so concurrent commits are invisible until the session refreshes. Tables
-// are retained by their relation until it is destroyed, so a view
-// outlives any number of later commits.
+// server. A writer commit (every base-fact write is one live-state
+// Database::ApplyUpdate commit) dirties its relations; the next snapshot
+// acquisition publishes, per dirty relation, an immutable RelReadTable —
+// the frozen subsidiary organization (paper §3.2 marks) plus a
+// copy-on-write tombstone set. Reader threads install a ReadView (the
+// set of published tables at one epoch) for a query; every access the
+// evaluation makes to a shared base relation is served from the view,
+// so concurrent commits are invisible until the session refreshes.
+// Tables live as long as their relation, so a view outlives any number
+// of later commits.
 
 #ifndef CORAL_REL_READVIEW_H_
 #define CORAL_REL_READVIEW_H_

@@ -1,9 +1,10 @@
 // Tests of the incremental update path (docs/MAINTENANCE.md): the
 // Database::ApplyUpdate / Session::ApplyUpdate API, counting maintenance
 // of non-recursive save modules, DRed + resumed fixpoint for recursive
-// ones, the stale-answer invalidation hooks on every other mutation path
-// (InsertFact, DeleteFacts, Consult, assert/retract, relation
-// registration), and the fallback to invalidation for uncovered shapes.
+// ones, the one commit path every other base write goes through
+// (InsertFact, DeleteFacts, Consult, LoadFacts, assert/retract) with its
+// all-or-nothing batches, and the fallback to invalidation for uncovered
+// shapes and for instances whose answers are being scanned.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "src/core/database.h"
 #include "src/core/session.h"
 #include "src/core/update.h"
+#include "src/cxx/computed_relation.h"
 
 namespace coral {
 namespace {
@@ -100,6 +102,25 @@ class MaintenanceTest : public ::testing::Test {
     return rows;
   }
 
+  /// Registers sq/1, a relation defined by C++ code: inserting into it is
+  /// Unsupported, which makes any batch that writes it fail validation.
+  void RegisterSquares() {
+    PredRef sq{db.factory()->symbols().Intern("sq"), 1};
+    Status st = db.RegisterRelation(
+        sq, std::make_unique<ComputedRelation>(
+                "sq", 1, db.factory(),
+                [](std::span<const TermRef>, TermFactory*,
+                   std::vector<const Tuple*>*) { return Status::OK(); }));
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
+  /// Stored facts of the base relation `name`/`arity` (0 if none exists).
+  size_t Stored(const std::string& name, uint32_t arity) {
+    Relation* rel =
+        db.FindBaseRelation({db.factory()->symbols().Intern(name), arity});
+    return rel == nullptr ? 0 : rel->size();
+  }
+
   Database db;
 };
 
@@ -118,11 +139,24 @@ constexpr char kAncSave[] = R"(
 // materialized, and checks the next query reflects the change.
 // ---------------------------------------------------------------------
 
-TEST_F(MaintenanceTest, InsertFactInvalidatesSavedModule) {
+TEST_F(MaintenanceTest, InsertFactMaintainsSavedModule) {
   Load(kAncSave);
   Load("par(a, b). par(b, c).");
   EXPECT_EQ(Count("anc(a, X)"), 2u);  // materializes the saved instance
-  Load("par(c, d).");                 // Consult → InsertFactLocked hook
+  const obs::MaintenanceCounters& mc = db.maintenance_counters();
+  uint64_t maintained = mc.maintained.load();
+  uint64_t invalidated = mc.invalidated.load();
+  Load("par(c, d).");  // Consult's facts commit through ApplyUpdate
+  EXPECT_EQ(mc.maintained.load(), maintained + 1);
+  EXPECT_EQ(mc.invalidated.load(), invalidated);
+  // The profile shows the repair although no ApplyUpdate call was made.
+  std::string report = db.ProfileReport();
+  EXPECT_NE(report.find("ApplyUpdate calls: 0\n"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("maintained:        " +
+                        std::to_string(maintained + 1) + "\n"),
+            std::string::npos)
+      << report;
   // par(c, d) arrived after materialization; anc must include it.
   EXPECT_EQ(Count("anc(a, X)"), 3u);
   EXPECT_EQ(Ask("anc(b, X)"), (std::vector<std::string>{"X = c", "X = d"}));
@@ -138,16 +172,36 @@ TEST_F(MaintenanceTest, DeleteFactsInvalidatesSavedModule) {
   EXPECT_TRUE(Ask("anc(b, X)").empty());
 }
 
-TEST_F(MaintenanceTest, AssertBuiltinInvalidatesSavedModule) {
+TEST_F(MaintenanceTest, AssertBuiltinMaintainsSavedModule) {
   Load(kAncSave);
   Load("par(a, b).");
   EXPECT_EQ(Count("anc(a, X)"), 1u);
-  // assert/1 from a top-level query bypasses ApplyUpdate entirely.
+  const obs::MaintenanceCounters& mc = db.maintenance_counters();
+  uint64_t maintained = mc.maintained.load();
+  uint64_t invalidated = mc.invalidated.load();
+  // assert/1 from a top-level query is a commit like ApplyUpdate.
   EXPECT_EQ(Count("assert(par(b, c))"), 1u);
+  EXPECT_EQ(mc.maintained.load(), maintained + 1);
+  EXPECT_EQ(mc.invalidated.load(), invalidated);
   EXPECT_EQ(Count("anc(a, X)"), 2u);
   // retract/1 likewise.
   EXPECT_EQ(Count("retract(par(b, c))"), 1u);
+  EXPECT_EQ(mc.maintained.load(), maintained + 2);
+  EXPECT_EQ(mc.invalidated.load(), invalidated);
   EXPECT_EQ(Count("anc(a, X)"), 1u);
+}
+
+TEST_F(MaintenanceTest, AssertDuringSavedScanInvalidates) {
+  Load(kAncSave);
+  Load("par(a, b). par(b, c).");
+  EXPECT_EQ(Count("anc(a, X)"), 2u);
+  uint64_t invalidated = db.maintenance_counters().invalidated.load();
+  // Each answer of the open anc scan asserts a new par fact. Repairing
+  // the instance under the scan would feed it forever; instead the first
+  // assert drops it and the scan ends over the answers it started with.
+  EXPECT_EQ(Count("anc(a, X), assert(par(X, f(X)))"), 2u);
+  EXPECT_EQ(db.maintenance_counters().invalidated.load(), invalidated + 1);
+  EXPECT_EQ(Count("anc(a, X)"), 4u);
 }
 
 TEST_F(MaintenanceTest, UnrelatedPredicateDoesNotInvalidate) {
@@ -303,6 +357,39 @@ TEST_F(MaintenanceTest, RepeatedUpdatesStayConsistent) {
     EXPECT_EQ(r.maintained, 1u) << "step " << i;
     EXPECT_EQ(Count("anc(n0, X)"), static_cast<size_t>(i));
   }
+}
+
+// ---------------------------------------------------------------------
+// A batch is validated before anything changes: a rejected batch leaves
+// base facts and saved answers as they were, whatever the write path.
+// ---------------------------------------------------------------------
+
+TEST_F(MaintenanceTest, FailedBatchChangesNothing) {
+  Load(kAncSave);
+  Load("par(a, b). par(b, c). par(c, d).");
+  RegisterSquares();
+  EXPECT_EQ(Count("anc(a, X)"), 3u);
+  Session s(&db);
+  auto r = s.ApplyUpdate("-par(b, c).\n+sq(3).\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+  EXPECT_EQ(Stored("par", 2), 3u);
+  EXPECT_EQ(Count("anc(a, X)"), 3u);
+}
+
+TEST_F(MaintenanceTest, FailedLoadFactsStoresNothing) {
+  RegisterSquares();
+  Session s(&db);
+  auto r = s.LoadFacts("e(1, 2). e(2, 3). sq(4).");
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(Stored("e", 2), 0u);
+}
+
+TEST_F(MaintenanceTest, FailedConsultStoresNoFacts) {
+  RegisterSquares();
+  auto r = db.Consult("e(1, 2). e(2, 3). sq(4).");
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(Stored("e", 2), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -160,6 +160,54 @@ TEST(SnapshotTest, LoadFactsCountsNewFacts) {
   EXPECT_FALSE(rejected.ok());
 }
 
+// assert/retract are commits: a session created after an embedded
+// assert or retract sees it (the published view was current before).
+TEST(SnapshotTest, EmbeddedAssertAndRetractAreCommits) {
+  Database db;
+  ASSERT_TRUE(db.Consult("e(1, 2).").ok());
+  {
+    Session before(&db);
+    auto result = before.EvalQuery("?- e(X, Y).");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->rows.size(), 1u);
+  }
+  ASSERT_TRUE(db.EvalQuery("assert(e(2, 3))").ok());
+  {
+    Session after(&db);
+    auto result = after.EvalQuery("?- e(X, Y).");
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows.size(), 2u);
+  }
+  ASSERT_TRUE(db.EvalQuery("retract(e(1, 2))").ok());
+  Session after(&db);
+  auto result = after.EvalQuery("?- e(X, Y).");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 1u);
+}
+
+// A retract inside a pinned session deletes from live state, not from
+// the session's frozen snapshot.
+TEST(SnapshotTest, RetractInPinnedSessionDeletesLiveFacts) {
+  Database db;
+  ASSERT_TRUE(db.Consult("e(1, 2).").ok());
+  Session pinned(&db);
+  auto before = pinned.EvalQuery("?- e(X, Y).");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->rows.size(), 1u);
+  Session writer(&db);
+  ASSERT_TRUE(writer.LoadFacts("e(5, 6).").ok());
+
+  auto retracted = pinned.EvalQuery("?- retract(e(5, X)).");
+  ASSERT_TRUE(retracted.ok()) << retracted.status().ToString();
+  EXPECT_EQ(retracted->rows.size(), 1u);
+  auto live = db.EvalQuery("?- e(5, X).");
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_TRUE(live->rows.empty());
+  auto rest = db.EvalQuery("?- e(X, Y).");
+  ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+  EXPECT_EQ(rest->rows.size(), 1u);
+}
+
 TEST(SnapshotTest, BindingsSubstituteIntoQueries) {
   Database db;
   Session session(&db);
