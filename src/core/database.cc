@@ -270,11 +270,16 @@ StatusOr<UpdateResult> Database::CommitLocked(const UpdateBatch& batch) {
   UpdateResult result;
 
   // Deletions first: every stored tuple a pattern subsumes, recording the
-  // tuples actually removed.
+  // tuples actually removed. The relation's indexes pick the candidates
+  // (a superset); subsumption decides.
   for (const Resolved& del : deletes) {
     if (del.rel == nullptr) continue;
+    BindEnv env(del.tuple->var_count());
+    std::vector<TermRef> pattern;
+    pattern.reserve(del.tuple->arity());
+    for (const Arg* a : del.tuple->args()) pattern.push_back({a, &env});
     std::vector<const Tuple*> doomed;
-    std::unique_ptr<TupleIterator> it = del.rel->Scan();
+    std::unique_ptr<TupleIterator> it = del.rel->Select(pattern);
     while (const Tuple* t = it->Next()) {
       if (SubsumesTuple(del.tuple, t)) doomed.push_back(t);
     }

@@ -54,6 +54,7 @@ bool RelationGoalSource::Next(Trail* trail) {
     }
     trail->UndoTo(base_);
   }
+  if (!it_->status().ok() && status_.ok()) status_ = it_->status();
   return false;
 }
 
@@ -69,6 +70,10 @@ bool NegationGoalSource::Next(Trail* trail) {
     bool unifies = UnifyTupleWithLiteral(t, &tuple_env, *lit_, env_, trail);
     trail->UndoTo(base_);
     if (unifies) return false;  // a witness exists: negation fails
+  }
+  if (!it->status().ok()) {
+    if (status_.ok()) status_ = it->status();
+    return false;
   }
   return true;
 }

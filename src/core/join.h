@@ -81,6 +81,8 @@ class RelationGoalSource : public GoalSource {
         tuple_env_(0) {}
 
   bool Next(Trail* trail) override;
+  /// The first failure of a scan (e.g. an unreadable storage page).
+  const Status& status() const override { return status_; }
 
  protected:
   void DoReset() override;
@@ -93,6 +95,7 @@ class RelationGoalSource : public GoalSource {
   PartitionSpec part_;
   BindEnv tuple_env_;
   std::unique_ptr<TupleIterator> it_;
+  Status status_;
 };
 
 /// Negation as set-difference (paper §5.4.1): succeeds exactly once when
@@ -103,6 +106,8 @@ class NegationGoalSource : public GoalSource {
       : lit_(lit), env_(env), rel_(rel) {}
 
   bool Next(Trail* trail) override;
+  /// The failure of the witness scan; the negation then fails too.
+  const Status& status() const override { return status_; }
 
  protected:
   void DoReset() override { fired_ = false; }
@@ -112,6 +117,7 @@ class NegationGoalSource : public GoalSource {
   BindEnv* env_;
   const Relation* rel_;
   bool fired_ = false;
+  Status status_;
 };
 
 /// A builtin literal.

@@ -196,9 +196,13 @@ const SetArg* TermFactory::MakeSet(std::vector<const Arg*> elems) {
 const Variable* TermFactory::MakeVariable(uint32_t slot,
                                           std::string_view name) {
   MaybeMutexLock lock(&mu_, concurrent_);
-  varname_store_.emplace_back(name);
-  return arena_.New<Variable>(slot, &varname_store_.back(), NextUid(),
-                              HashMix64(kVarHashSeed));
+  auto it = var_cons_.find(VarKey{slot, name});
+  if (it != var_cons_.end()) return it->second;
+  const std::string* stored = &varname_store_.emplace_back(name);
+  const Variable* node = arena_.New<Variable>(slot, stored, NextUid(),
+                                              HashMix64(kVarHashSeed));
+  var_cons_.emplace(VarKey{slot, *stored}, node);
+  return node;
 }
 
 const Variable* TermFactory::CanonicalVar(uint32_t slot) {
@@ -214,25 +218,16 @@ const Variable* TermFactory::CanonicalVar(uint32_t slot) {
 
 const Tuple* TermFactory::MakeTuple(std::span<const Arg* const> args) {
   MaybeMutexLock lock(&mu_, concurrent_);
+  // The node hash is only needed when a new node is allocated; fixpoint
+  // evaluation re-derives mostly-existing tuples, so hash on the cons
+  // miss, not before the lookup.
+  uint64_t key = ConsKey(0x70b1ull, args);
+  if (const Tuple* hit = tuple_cons_.Find(args, key)) return hit;
   bool ground = true;
   for (const Arg* a : args) ground = ground && a->IsGround();
-  if (ground) {
-    // The node hash is only needed when a new node is allocated; fixpoint
-    // evaluation re-derives mostly-existing tuples, so hash on the cons
-    // miss, not before the lookup.
-    uint64_t key = ConsKey(0x70b1ull, args);
-    if (const Tuple* hit = tuple_cons_.Find(args, key)) return hit;
-    const Tuple* node = arena_.New<Tuple>(args, CopyArgs(args), true, 0,
-                                          NextUid(),
-                                          HashChildren(0x7091eull, args));
-    tuple_cons_.Insert(node, key);
-    return node;
-  }
-  uint64_t hash = HashChildren(0x7091eull, args);
-  // Count distinct variables: canonical tuples number slots 0..k-1, so the
-  // var count is max slot + 1.
+  // Canonical tuples number variable slots 0..k-1, so the var count is
+  // the max slot + 1.
   uint32_t var_count = 0;
-  // Walk terms to find the max variable slot.
   struct Walker {
     static void Visit(const Arg* a, uint32_t* max_slot) {
       if (a->IsGround()) return;
@@ -258,8 +253,11 @@ const Tuple* TermFactory::MakeTuple(std::span<const Arg* const> args) {
     }
   };
   for (const Arg* a : args) Walker::Visit(a, &var_count);
-  return arena_.New<Tuple>(args, CopyArgs(args), false, var_count, NextUid(),
-                           hash);
+  const Tuple* node = arena_.New<Tuple>(args, CopyArgs(args), ground,
+                                        var_count, NextUid(),
+                                        HashChildren(0x7091eull, args));
+  tuple_cons_.Insert(node, key);
+  return node;
 }
 
 bool StructuralEqualArgs(const Arg* a, const Arg* b) {

@@ -100,8 +100,9 @@ class TermFactory {
   const SetArg* MakeSet(std::vector<const Arg*> elems);
 
   // ---- Variables ----
-  /// A clause-local variable with the given slot. Not interned: each call
-  /// makes a fresh node (names are for printing only).
+  /// A clause-local variable with the given slot. Interned by (slot,
+  /// name), so re-parsing a clause or a query allocates no new node
+  /// (names are for printing only).
   const Variable* MakeVariable(uint32_t slot, std::string_view name);
   /// The shared canonical variable for `slot` (printed _0, _1, ...); used
   /// to store non-ground facts in relations.
@@ -132,9 +133,12 @@ class TermFactory {
   }
 
   // ---- Tuples ----
-  /// Canonicalizes ground tuples (pointer equality). Arguments of
-  /// non-ground tuples must already use canonical variables numbered in
-  /// order of first occurrence; `var_count` is computed here.
+  /// Canonicalizes tuples by their argument pointers: ground tuples
+  /// unify iff they are the same node. Non-ground tuples are shared too
+  /// (their children are interned variables and nodes), so a repeated
+  /// non-ground tuple allocates nothing. Arguments of non-ground tuples
+  /// must already use canonical variables numbered in order of first
+  /// occurrence; `var_count` is computed here.
   const Tuple* MakeTuple(std::span<const Arg* const> args);
 
   /// Number of distinct hash-consed ground functor terms (for stats).
@@ -186,6 +190,19 @@ class TermFactory {
   SetHashcons set_cons_ CORAL_GUARDED_BY(mu_);
   TupleHashcons tuple_cons_ CORAL_GUARDED_BY(mu_);
   std::vector<const Variable*> canonical_vars_ CORAL_GUARDED_BY(mu_);
+  /// Clause variables by (slot, name); names view varname_store_.
+  struct VarKey {
+    uint32_t slot;
+    std::string_view name;
+    bool operator==(const VarKey&) const = default;
+  };
+  struct VarKeyHash {
+    size_t operator()(const VarKey& k) const {
+      return HashCombine(HashString(k.name), k.slot);
+    }
+  };
+  std::unordered_map<VarKey, const Variable*, VarKeyHash> var_cons_
+      CORAL_GUARDED_BY(mu_);
 
   std::deque<std::string> string_store_ CORAL_GUARDED_BY(mu_);
   std::deque<BigInt> bigint_store_ CORAL_GUARDED_BY(mu_);

@@ -394,19 +394,39 @@ StatusOr<Literal> Parser::ParsePositiveLiteral() {
   // Parse a term; if followed by a comparison operator, build an operator
   // literal, else the term itself must be a predicate application.
   SourceLoc loc = LocHere();
-  CORAL_ASSIGN_OR_RETURN(const Arg* lhs, ParseTermExpr());
-
-  const char* op = nullptr;
-  switch (Cur().kind) {
-    case TokenKind::kEquals: op = "="; break;
-    case TokenKind::kNotEquals: op = "\\="; break;
-    case TokenKind::kLess: op = "<"; break;
-    case TokenKind::kGreater: op = ">"; break;
-    case TokenKind::kLessEq: op = "=<"; break;
-    case TokenKind::kGreaterEq: op = ">="; break;
-    default: break;
+  const Arg* lhs = nullptr;
+  if ((At(TokenKind::kIdent) || At(TokenKind::kQuotedAtom)) &&
+      Ahead().kind == TokenKind::kLParen &&
+      Ahead(2).kind != TokenKind::kRParen) {
+    // name(args): the literal takes the args directly, so a fact or a
+    // query allocates no top-level functor term.
+    std::string name = Cur().text;
+    Bump();
+    Bump();  // '('
+    CORAL_ASSIGN_OR_RETURN(std::vector<const Arg*> args, ParseArgList());
+    CORAL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
+    const bool op_follows = CompareOpHere() != nullptr ||
+                            At(TokenKind::kPlus) || At(TokenKind::kMinus) ||
+                            At(TokenKind::kStar) || At(TokenKind::kSlash);
+    if (!op_follows) {
+      Literal lit;
+      lit.pred = factory_->symbols().Intern(name);
+      lit.args = std::move(args);
+      lit.loc = loc;
+      return lit;
+    }
+    // An operator follows (f(X) = Y, f(X) + 1 > Y): the application is
+    // the first operand. Continue the expression from the parsed args;
+    // re-parsing would renumber every '_'.
+    CORAL_ASSIGN_OR_RETURN(
+        const Arg* factor,
+        ContinueTermFactor(factory_->MakeFunctor(name, args)));
+    CORAL_ASSIGN_OR_RETURN(lhs, ContinueTermExpr(factor));
+  } else {
+    CORAL_ASSIGN_OR_RETURN(lhs, ParseTermExpr());
   }
-  if (op != nullptr) {
+
+  if (const char* op = CompareOpHere()) {
     Bump();
     CORAL_ASSIGN_OR_RETURN(const Arg* rhs, ParseTermExpr());
     Literal lit;
@@ -427,8 +447,24 @@ StatusOr<Literal> Parser::ParsePositiveLiteral() {
   return lit;
 }
 
+const char* Parser::CompareOpHere() const {
+  switch (Cur().kind) {
+    case TokenKind::kEquals: return "=";
+    case TokenKind::kNotEquals: return "\\=";
+    case TokenKind::kLess: return "<";
+    case TokenKind::kGreater: return ">";
+    case TokenKind::kLessEq: return "=<";
+    case TokenKind::kGreaterEq: return ">=";
+    default: return nullptr;
+  }
+}
+
 StatusOr<const Arg*> Parser::ParseTermExpr() {
   CORAL_ASSIGN_OR_RETURN(const Arg* lhs, ParseTermFactor());
+  return ContinueTermExpr(lhs);
+}
+
+StatusOr<const Arg*> Parser::ContinueTermExpr(const Arg* lhs) {
   while (At(TokenKind::kPlus) || At(TokenKind::kMinus)) {
     const char* op = At(TokenKind::kPlus) ? "+" : "-";
     Bump();
@@ -441,6 +477,10 @@ StatusOr<const Arg*> Parser::ParseTermExpr() {
 
 StatusOr<const Arg*> Parser::ParseTermFactor() {
   CORAL_ASSIGN_OR_RETURN(const Arg* lhs, ParseTermPrimary());
+  return ContinueTermFactor(lhs);
+}
+
+StatusOr<const Arg*> Parser::ContinueTermFactor(const Arg* lhs) {
   while (At(TokenKind::kStar) || At(TokenKind::kSlash)) {
     const char* op = At(TokenKind::kStar) ? "*" : "/";
     Bump();

@@ -67,6 +67,11 @@ class Parser {
   StatusOr<Literal> ParsePositiveLiteral();
   StatusOr<const Arg*> ParseTermExpr();    // +,-
   StatusOr<const Arg*> ParseTermFactor();  // *,/
+  /// The operator loops of the two above, from an already parsed operand.
+  StatusOr<const Arg*> ContinueTermExpr(const Arg* lhs);
+  StatusOr<const Arg*> ContinueTermFactor(const Arg* lhs);
+  /// The comparison operator at the cursor (e.g. "=<"), or nullptr.
+  const char* CompareOpHere() const;
   StatusOr<const Arg*> ParseTermPrimary();
   StatusOr<std::vector<const Arg*>> ParseArgList();
 

@@ -123,6 +123,9 @@ class Relation {
   /// candidates are a SUPERSET — callers still check every column.
   /// Returns false when the relation cannot serve the probe from an
   /// index; the caller then scans the window. The default declines.
+  /// An implementation that fails part-way (a storage read or decode
+  /// error) declines too, leaving *out as it was: it never returns
+  /// partial candidates.
   virtual bool ProbeArgs(std::span<const uint32_t> /*cols*/,
                          std::span<const Arg* const> /*key*/, Mark /*from*/,
                          Mark /*to*/,

@@ -1,5 +1,6 @@
 #include "src/storage/persistent_relation.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/data/unify.h"
@@ -307,6 +308,17 @@ class PersistentScanIterator : public TupleIterator {
   Status status_;
 };
 
+/// The iterator of a lookup that failed: no tuples, only the error.
+class FailedIterator : public TupleIterator {
+ public:
+  explicit FailedIterator(Status status) : status_(std::move(status)) {}
+  const Tuple* Next() override { return nullptr; }
+  const Status& status() const override { return status_; }
+
+ private:
+  Status status_;
+};
+
 }  // namespace
 
 std::unique_ptr<TupleIterator> PersistentRelation::ScanRange(
@@ -331,29 +343,64 @@ std::unique_ptr<TupleIterator> PersistentRelation::Select(
     }
   }
   if (best == nullptr) return ScanRange(0, kMaxMark);
+  std::vector<const Tuple*> tuples;
+  Status st = FetchMatches(*best, best_key, &tuples);
+  if (!st.ok()) return std::make_unique<FailedIterator>(std::move(st));
+  return std::make_unique<VectorIterator>(std::move(tuples));
+}
+
+bool PersistentRelation::ProbeArgs(std::span<const uint32_t> cols,
+                                   std::span<const Arg* const> key, Mark from,
+                                   Mark to,
+                                   std::vector<const Tuple*>* out) const {
+  if (from > 0 || to == 0) return true;  // the window is empty
+  auto pos_of = [&](uint32_t c) {
+    return static_cast<size_t>(std::find(cols.begin(), cols.end(), c) -
+                               cols.begin());
+  };
+  // The widest B-tree whose columns the probe binds, as in HashRelation.
+  const StoredIndex* best = nullptr;
+  for (const StoredIndex& idx : indexes_) {
+    if (best != nullptr && idx.cols.size() <= best->cols.size()) continue;
+    if (std::all_of(idx.cols.begin(), idx.cols.end(),
+                    [&](uint32_t c) { return pos_of(c) < cols.size(); })) {
+      best = &idx;
+    }
+  }
+  if (best == nullptr) return false;
+  std::string idx_key;
+  for (uint32_t c : best->cols) {
+    // Key values are ground. One that no stored field can hold (a
+    // compound term) matches nothing.
+    if (!SerializeValue(key[pos_of(c)], &idx_key)) return true;
+  }
+  return FetchMatches(*best, idx_key, out).ok();
+}
+
+Status PersistentRelation::FetchMatches(const StoredIndex& idx,
+                                        const std::string& key,
+                                        std::vector<const Tuple*>* out) const {
+  const size_t base = out->size();
   std::vector<Rid> rids;
-  Status st = best->tree->Lookup(best_key, &rids);
+  Status st = idx.tree->Lookup(key, &rids);
+  for (size_t i = 0; st.ok() && i < rids.size(); ++i) {
+    StatusOr<std::vector<char>> rec = heap_->Read(rids[i]);
+    if (!rec.ok()) {
+      st = rec.status();
+    } else if (!rec->empty()) {  // an empty record is tombstoned
+      StatusOr<const Tuple*> t = DeserializeTuple(*rec, sm_->factory());
+      if (t.ok()) {
+        out->push_back(*t);
+      } else {
+        st = t.status();
+      }
+    }
+  }
   if (!st.ok()) {
     sm_->RecordIoError(st);
-    return std::make_unique<EmptyIterator>();
+    out->resize(base);
   }
-  std::vector<const Tuple*> tuples;
-  tuples.reserve(rids.size());
-  for (Rid rid : rids) {
-    auto rec = heap_->Read(rid);
-    if (!rec.ok()) {
-      sm_->RecordIoError(rec.status());
-      return std::make_unique<EmptyIterator>();
-    }
-    if (rec->empty()) continue;  // tombstoned
-    auto t = DeserializeTuple(*rec, sm_->factory());
-    if (!t.ok()) {
-      sm_->RecordIoError(t.status());
-      return std::make_unique<EmptyIterator>();
-    }
-    tuples.push_back(*t);
-  }
-  return std::make_unique<VectorIterator>(std::move(tuples));
+  return st;
 }
 
 Status PersistentRelation::AddIndex(std::vector<uint32_t> cols) {

@@ -54,6 +54,12 @@ class PersistentRelation : public Relation {
   std::unique_ptr<TupleIterator> Select(std::span<const TermRef> pattern,
                                         Mark from, Mark to) const override;
   using Relation::Select;
+  /// Serves the probe from the widest B-tree whose columns are all bound,
+  /// decoding only the records it names. Declines when no B-tree fits,
+  /// and on a read or decode error (latched with RecordIoError).
+  bool ProbeArgs(std::span<const uint32_t> cols,
+                 std::span<const Arg* const> key, Mark from, Mark to,
+                 std::vector<const Tuple*>* out) const override;
 
   /// Marks are not supported on persistent relations (they are base data,
   /// never used as semi-naive deltas): the whole extension is interval 0.
@@ -86,6 +92,11 @@ class PersistentRelation : public Relation {
   /// Key from a pattern; nullopt when some key column is not ground.
   std::optional<std::string> KeyForPattern(
       const StoredIndex& idx, std::span<const TermRef> pattern) const;
+  /// Appends the live tuples `idx` files under `key`, decoding only
+  /// those. On a read or decode error latches it with RecordIoError,
+  /// leaves *out as it was and returns it.
+  Status FetchMatches(const StoredIndex& idx, const std::string& key,
+                      std::vector<const Tuple*>* out) const;
   /// The rid of a stored tuple equal to `t`, if any.
   StatusOr<Rid> FindRid(const Tuple* t) const;
   void PersistRoots();

@@ -819,5 +819,67 @@ TEST_F(CoreTest, RunConsultsAndAnswers) {
   EXPECT_NE(out->find("X = 3"), std::string::npos);
 }
 
+// ---------------------------------------------------------------------
+// Term memory: the arena never frees, so a repeated query must not grow
+// it. Variables are interned by (slot, name) and tuples are hash-consed
+// whether ground or not; only non-ground compound terms written in the
+// query text (f(X), X + 1) are still built afresh, so the texts below
+// avoid them.
+// ---------------------------------------------------------------------
+
+TEST_F(CoreTest, RepeatedQueriesAllocateNoTerms) {
+  std::string facts;
+  for (int i = 0; i < 40; ++i) {
+    facts += "e(" + std::to_string(i) + ", " +
+             std::to_string((i * 7 + 1) % 40) + "). ";
+  }
+  Load(facts);
+  Load(R"(
+    module reach.
+    export reach(bf, ff).
+    reach(X, Y) :- e(X, Y).
+    reach(X, Y) :- reach(X, Z), e(Z, Y).
+    end_module.
+    module agg.
+    export cnt(bf).
+    cnt(X, count(<Y>)) :- e(X, Y).
+    end_module.
+  )");
+  std::vector<std::string> texts;
+  auto add = [&texts](const std::string& pred, int n, const char* rest) {
+    for (int i = 0; i < n; ++i) {
+      texts.push_back(pred + "(" + std::to_string(i) + rest);
+    }
+  };
+  add("reach", 30, ", Y)");
+  add("e", 10, ", Y)");
+  add("cnt", 5, ", N)");
+  texts.push_back("reach(X, Y)");
+  texts.push_back("e(X, Y), X < 3");
+  texts.push_back("e(_, Y), not e(Y, 2)");
+  texts.push_back("X = 3 + 1");
+  texts.push_back("e(X, _), X > 38");
+  ASSERT_EQ(texts.size(), 50u);
+
+  for (const std::string& q : texts) ASSERT_GT(Count(q), 0u) << q;
+  const size_t warm = db.factory()->bytes_allocated();
+  for (int i = 0; i < 10000; ++i) {
+    auto r = db.EvalQuery(texts[static_cast<size_t>(i) % texts.size()]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  EXPECT_EQ(db.factory()->bytes_allocated(), warm);
+}
+
+TEST_F(CoreTest, ConsultedFactsAddNoFunctorTerms) {
+  const size_t before = db.factory()->hashcons_size();
+  std::string facts;
+  for (int i = 0; i < 500; ++i) {
+    facts += "edge(" + std::to_string(i) + ", " + std::to_string(i + 1) + "). ";
+  }
+  Load(facts);
+  EXPECT_EQ(Count("edge(X, Y)"), 500u);
+  EXPECT_EQ(db.factory()->hashcons_size(), before);
+}
+
 }  // namespace
 }  // namespace coral

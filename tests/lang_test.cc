@@ -164,6 +164,65 @@ TEST_F(LangTest, ParseArithmeticExpressions) {
   EXPECT_EQ(assign.args[1]->ToString(), "'-'('+'(C,'*'(2,X)),1)");
 }
 
+// A literal that starts with name(args) is built from the args directly;
+// when an operator follows, the application becomes the left operand of
+// the expression without re-parsing it (which would renumber '_').
+TEST_F(LangTest, ParseApplicationFollowedByOperator) {
+  Program prog = MustParse(R"(
+    module m.
+    p(Y) :- f(X) = Y, q(X).
+    p(N) :- f(_) = _, n(N).
+    p(X) :- q(X), f(X) + 1 > 2.
+    p(X) :- q(X), g(X) * 2 - 1 =< X.
+    end_module.
+  )");
+  const auto& rules = prog.modules[0].rules;
+  ASSERT_EQ(rules.size(), 4u);
+
+  const Literal& eq = rules[0].body[0];
+  EXPECT_EQ(eq.pred->name, "=");
+  EXPECT_EQ(eq.ToString(), "f(X) = Y");
+  EXPECT_EQ(rules[0].var_count, 2u);
+  EXPECT_EQ(rules[0].var_names[1], "X");  // head Y took slot 0
+
+  const Literal& anon = rules[1].body[0];
+  EXPECT_EQ(anon.pred->name, "=");
+  ASSERT_EQ(anon.args[0]->kind(), ArgKind::kAtomOrFunctor);
+  const auto* fa = ArgCast<FunctorArg>(anon.args[0]);
+  ASSERT_EQ(fa->arity(), 1u);
+  // Head N is slot 0; each '_' gets its own slot, in textual order.
+  EXPECT_EQ(ArgCast<Variable>(fa->arg(0))->slot(), 1u);
+  EXPECT_EQ(ArgCast<Variable>(anon.args[1])->slot(), 2u);
+  EXPECT_EQ(rules[1].var_count, 3u);
+
+  const Literal& gt = rules[2].body[1];
+  EXPECT_EQ(gt.pred->name, ">");
+  EXPECT_EQ(gt.args[0]->ToString(), "'+'(f(X),1)");
+  EXPECT_EQ(gt.args[1]->ToString(), "2");
+
+  const Literal& le = rules[3].body[1];
+  EXPECT_EQ(le.pred->name, "=<");
+  EXPECT_EQ(le.args[0]->ToString(), "'-'('*'(g(X),2),1)");
+
+  // The plain application stays a predicate literal.
+  const Literal& q = rules[2].body[0];
+  EXPECT_EQ(q.pred->name, "q");
+  ASSERT_EQ(q.args.size(), 1u);
+}
+
+TEST_F(LangTest, ParsedFactsAddNoFunctorTerms) {
+  // The literal takes name(args) directly: a parsed ground fact leaves
+  // no hash-consed edge(...) functor behind.
+  std::string text;
+  for (int i = 0; i < 200; ++i) {
+    text += "edge(" + std::to_string(i) + ", n" + std::to_string(i) + "). ";
+  }
+  size_t before = f.hashcons_size();
+  Program prog = MustParse(text);
+  EXPECT_EQ(prog.top_facts.size(), 200u);
+  EXPECT_EQ(f.hashcons_size(), before);
+}
+
 TEST_F(LangTest, ParseListsAndFunctors) {
   Program prog = MustParse(
       "module m. p(P1) :- append([edge(X, Y)], P, P1). end_module.");

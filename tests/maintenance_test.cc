@@ -488,6 +488,56 @@ TEST_F(MaintenanceTest, NonGroundBaseFactFallsBackToInvalidation) {
   EXPECT_EQ(Count("out(X)"), 3u);
 }
 
+// Base deletes find their victims through the relation's indexes
+// (Select), then filter by subsumption: the stored facts after each
+// batch must not depend on which argument indexes exist.
+TEST_F(MaintenanceTest, IndexedDeletesMatchScannedDeletes) {
+  constexpr char kFacts[] =
+      "e(1, 1). e(2, 1). e(2, 2). e(3, 2). e(4, 4). e(Y, 1). e(3, Z).";
+  const std::vector<std::string> batches = {
+      "e(2, 1).",  // ground: must not remove the stored e(Y, 1)
+      "e(X, 2).",  // pattern on the second column
+      "e(4, Y).",  // pattern on the first column
+      "e(3, Z).",  // a stored non-ground fact, deleted by itself
+      "e(Y, 1).",  // removes e(1, 1) and the stored e(Y, 1)
+  };
+  auto stored = [](Database* d) {
+    std::vector<std::string> out;
+    Relation* rel =
+        d->FindBaseRelation({d->factory()->symbols().Intern("e"), 2});
+    if (rel == nullptr) return out;
+    auto it = rel->Scan();
+    while (const Tuple* t = it->Next()) out.push_back(t->ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::vector<std::string>> runs;
+  for (const char* index : {"", "@make_index e(X, Y) (X).",
+                            "@make_index e(X, Y) (Y).",
+                            "@make_index e(X, Y) (X, Y)."}) {
+    Database d;
+    ASSERT_TRUE(d.Consult(index).ok()) << index;
+    ASSERT_TRUE(d.Consult(kFacts).ok());
+    std::vector<std::string> trace;
+    for (const std::string& batch : batches) {
+      Session s(&d);
+      auto r = s.ApplyUpdate("-" + batch);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      trace.push_back(batch + " deleted " + std::to_string(r->base_deleted));
+      for (const std::string& t : stored(&d)) trace.push_back(t);
+      if (batch == "e(2, 1).") {
+        EXPECT_EQ(r->base_deleted, 1u) << index;
+        EXPECT_NE(std::find(trace.begin(), trace.end(), "(Y,1)"),
+                  trace.end())
+            << index;
+      }
+    }
+    EXPECT_EQ(stored(&d), std::vector<std::string>{}) << index;
+    runs.push_back(std::move(trace));
+  }
+  for (size_t i = 1; i < runs.size(); ++i) EXPECT_EQ(runs[i], runs[0]);
+}
+
 TEST_F(MaintenanceTest, UpdateBeforeFirstQueryIsCheap) {
   Load(kAncSave);
   Load("par(a, b).");

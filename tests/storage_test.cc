@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "src/core/database.h"
 #include "src/storage/btree.h"
+#include "src/storage/fault.h"
 #include "src/storage/heap_file.h"
 #include "src/storage/storage_manager.h"
 
@@ -27,7 +30,10 @@ class StorageTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
     prefix_ = (dir_ / "db").string();
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  void TearDown() override {
+    FaultInjector::Instance().Reset();
+    std::filesystem::remove_all(dir_);
+  }
 
   std::filesystem::path dir_;
   std::string prefix_;
@@ -386,6 +392,221 @@ TEST_F(StorageTest, DeclarativeQueryOverPersistentData) {
   auto q = db.Consult("pedge(n20, n21).");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ((*rel)->size(), 21u);
+  ASSERT_TRUE((*sm)->Close().ok());
+}
+
+// ProbeArgs is the bytecode VM's direct lookup (PROBE_INDEX). On a
+// persistent relation it reads one B-tree and decodes only the records
+// the tree names.
+std::vector<int64_t> SecondColumn(const std::vector<const Tuple*>& tuples) {
+  std::vector<int64_t> out;
+  for (const Tuple* t : tuples) {
+    out.push_back(ArgCast<IntArg>(t->arg(1))->value());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(StorageTest, PersistentProbeIsExactAfterDeletes) {
+  TermFactory f;
+  auto sm = StorageManager::Open(prefix_, &f);
+  ASSERT_TRUE(sm.ok());
+  auto rel = (*sm)->CreateRelation("emp", 2);
+  ASSERT_TRUE(rel.ok());
+  auto pair = [&f](int64_t a, int64_t b) {
+    const Arg* args[] = {f.MakeInt(a), f.MakeInt(b)};
+    return f.MakeTuple(args);
+  };
+  for (int i = 0; i < 300; ++i) (*rel)->Insert(pair(i % 10, i));
+  ASSERT_TRUE((*rel)->AddIndex({0}).ok());
+  for (int i = 3; i < 300; i += 20) ASSERT_TRUE((*rel)->Delete(pair(3, i)));
+
+  std::vector<int64_t> expect;
+  for (int i = 13; i < 300; i += 20) expect.push_back(i);
+  const uint32_t col0[] = {0};
+  const Arg* key3[] = {f.MakeInt(3)};
+  std::vector<const Tuple*> out;
+  ASSERT_TRUE((*rel)->ProbeArgs(col0, key3, 0, kMaxMark, &out));
+  EXPECT_EQ(SecondColumn(out), expect);  // exact: no deleted record
+
+  // Both columns bound: the primary B-tree is the widest that fits, and
+  // the key is reordered into its column order.
+  const uint32_t col10[] = {1, 0};
+  const Arg* hit[] = {f.MakeInt(13), f.MakeInt(3)};
+  const Arg* gone[] = {f.MakeInt(23), f.MakeInt(3)};
+  out.clear();
+  ASSERT_TRUE((*rel)->ProbeArgs(col10, hit, 0, kMaxMark, &out));
+  EXPECT_EQ(SecondColumn(out), std::vector<int64_t>{13});
+  out.clear();
+  ASSERT_TRUE((*rel)->ProbeArgs(col10, gone, 0, kMaxMark, &out));
+  EXPECT_TRUE(out.empty());
+
+  // A value no persistent field can hold matches nothing; a window past
+  // interval 0 is empty, as for ScanRange.
+  const Arg* inner[] = {f.MakeInt(1)};
+  const Arg* functor[] = {f.MakeFunctor("g", inner)};
+  ASSERT_TRUE((*rel)->ProbeArgs(col0, functor, 0, kMaxMark, &out));
+  ASSERT_TRUE((*rel)->ProbeArgs(col0, key3, 1, kMaxMark, &out));
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE((*sm)->Close().ok());
+}
+
+TEST_F(StorageTest, PersistentProbeDeclinesWithoutCoveringBTree) {
+  TermFactory f;
+  auto sm = StorageManager::Open(prefix_, &f);
+  ASSERT_TRUE(sm.ok());
+  auto rel = (*sm)->CreateRelation("emp", 2);
+  ASSERT_TRUE(rel.ok());
+  for (int i = 0; i < 50; ++i) {
+    const Arg* args[] = {f.MakeInt(i % 5), f.MakeInt(i)};
+    (*rel)->Insert(f.MakeTuple(args));
+  }
+  const uint32_t col0[] = {0};
+  const uint32_t col1[] = {1};
+  const Arg* key[] = {f.MakeInt(2)};
+  std::vector<const Tuple*> out;
+  // Only the primary (both columns) exists: one bound column is not
+  // enough to key it.
+  EXPECT_FALSE((*rel)->ProbeArgs(col0, key, 0, kMaxMark, &out));
+  ASSERT_TRUE((*rel)->AddIndex({1}).ok());
+  EXPECT_FALSE((*rel)->ProbeArgs(col0, key, 0, kMaxMark, &out));
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE((*rel)->ProbeArgs(col1, key, 0, kMaxMark, &out));
+  EXPECT_EQ(SecondColumn(out), std::vector<int64_t>{2});
+  ASSERT_TRUE((*sm)->Close().ok());
+}
+
+constexpr char kPreach[] = R"(
+  module preach.
+  export preach(bf).
+  preach(X, Y) :- pedge(X, Y).
+  preach(X, Y) :- preach(X, Z), pedge(Z, Y).
+  end_module.
+)";
+
+TEST_F(StorageTest, PersistentProbeDeclinesOnReadFailure) {
+  // A read error anywhere in a probe must not yield partial candidates:
+  // the probe either completes or declines and leaves *out as it was.
+  // In a query the VM's fallback scan then fails too, and the query
+  // reports the error.
+  Database db;
+  TermFactory* f = db.factory();
+  StorageManager::Options opts;
+  opts.pool_frames = 4;  // lookups must go to disk
+  auto sm = StorageManager::Open(prefix_, f, opts);
+  ASSERT_TRUE(sm.ok());
+  auto rel = (*sm)->CreateRelation("pedge", 2);
+  ASSERT_TRUE(rel.ok());
+  // Each key's 30 records are spread over every heap page.
+  for (int i = 0; i < 3000; ++i) {
+    const Arg* args[] = {f->MakeInt(i % 100), f->MakeInt(i)};
+    (*rel)->Insert(f->MakeTuple(args));
+  }
+  ASSERT_TRUE((*rel)->AddIndex({0}).ok());
+  ASSERT_TRUE((*sm)->AttachTo(&db).ok());
+  ASSERT_TRUE(db.Consult(kPreach).ok());
+  auto warm = db.EvalQuery("preach(3, Y)");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_GT(warm->rows.size(), 0u);
+
+  const uint32_t col0[] = {0};
+  const Arg* key[] = {f->MakeInt(7)};
+  FaultInjector& injector = FaultInjector::Instance();
+  // Evicts the pages of the next lookup, then fails the k-th disk read
+  // after that (and, with `times`, the ones after it).
+  auto fail_read = [&](uint64_t k, uint64_t times) {
+    injector.Reset();
+    for (auto it = (*rel)->Scan(); it->Next() != nullptr;) {
+    }
+    FaultSpec fail;
+    fail.trigger_hit = injector.hits(fp::kDiskRead) + k;
+    fail.times = times;
+    injector.Arm(fp::kDiskRead, fail);
+  };
+  size_t declined = 0;
+  for (uint64_t k = 1; k <= 40; ++k) {
+    fail_read(k, 1);
+    std::vector<const Tuple*> out = {nullptr};
+    if ((*rel)->ProbeArgs(col0, key, 0, kMaxMark, &out)) {
+      EXPECT_EQ(out.size(), 31u) << "read " << k;
+    } else {
+      EXPECT_EQ(out.size(), 1u) << "read " << k << ": partial candidates";
+      ++declined;
+    }
+  }
+  // Failures hit the B-tree and several heap pages; later ones miss.
+  EXPECT_GT(declined, 4u);
+  EXPECT_LT(declined, 40u);
+  EXPECT_FALSE((*sm)->io_error().ok());
+
+  fail_read(1, 1u << 30);  // every read from now on
+  auto failed = db.EvalQuery("preach(3, Y)");
+  EXPECT_FALSE(failed.ok()) << "answered "
+                            << (failed.ok() ? failed->rows.size() : 0)
+                            << " rows from an unreadable relation";
+  // Negation as set difference must not read a failed lookup as "no
+  // witness".
+  auto negated = db.EvalQuery("not pedge(7, 107)");
+  EXPECT_FALSE(negated.ok());
+  injector.Reset();
+  (void)(*sm)->Close();
+}
+
+TEST_F(StorageTest, PersistentProbeMatchesHashRelation) {
+  // The same recursive query over a persistent base and over an
+  // in-memory HashRelation gives the same answers, and the persistent
+  // run probes its B-tree for every bound pedge literal.
+  std::mt19937 rng(7);
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < 400; ++i) {
+    edges.emplace_back(static_cast<int>(rng() % 120),
+                       static_cast<int>(rng() % 120));
+  }
+  Database mem;
+  std::string facts;
+  for (const auto& [a, b] : edges) {
+    facts += "pedge(" + std::to_string(a) + ", " + std::to_string(b) + "). ";
+  }
+  ASSERT_TRUE(mem.Consult(facts).ok());
+  ASSERT_TRUE(mem.Consult(kPreach).ok());
+
+  Database disk;
+  TermFactory* f = disk.factory();
+  StorageManager::Options opts;
+  opts.pool_frames = 8;
+  auto sm = StorageManager::Open(prefix_, f, opts);
+  ASSERT_TRUE(sm.ok());
+  auto rel = (*sm)->CreateRelation("pedge", 2);
+  ASSERT_TRUE(rel.ok());
+  ASSERT_TRUE((*rel)->AddIndex({0}).ok());
+  for (const auto& [a, b] : edges) {
+    const Arg* args[] = {f->MakeInt(a), f->MakeInt(b)};
+    (*rel)->Insert(f->MakeTuple(args));
+  }
+  ASSERT_TRUE((*sm)->AttachTo(&disk).ok());
+  ASSERT_TRUE(disk.Consult(kPreach).ok());
+
+  auto answers = [](Database* db, const std::string& q) {
+    auto r = db->EvalQuery(q);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::string> rows;
+    if (r.ok()) {
+      for (const AnswerRow& row : r->rows) rows.push_back(row.ToString());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  disk.vm_counters()->Reset();
+  size_t nonempty = 0;
+  for (int n = 0; n < 120; n += 7) {
+    std::string q = "preach(" + std::to_string(n) + ", Y)";
+    std::vector<std::string> want = answers(&mem, q);
+    EXPECT_EQ(answers(&disk, q), want) << q;
+    if (!want.empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, 0u);
+  EXPECT_GT(disk.vm_counters()->probe_index.load(), 0u);
+  EXPECT_EQ(disk.vm_counters()->probe_scan_fallbacks.load(), 0u);
   ASSERT_TRUE((*sm)->Close().ok());
 }
 
