@@ -88,9 +88,6 @@ int main() {
   st = c.Consult(R"(
     module geo.
     export distance(bbf), near_madison(ff).
-    % haversine needs its coordinates bound: keep the join order as
-    % written (the optimizer cannot see a C++ predicate's binding needs).
-    @no_reorder_joins.
     distance(A, B, Km) :- city(A, LatA, LonA), city(B, LatB, LonB),
                           haversine(LatA, LonA, LatB, LonB, Km).
     near_madison(B, Km) :- distance(madison, B, Km), Km < 1000.0,

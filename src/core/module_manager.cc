@@ -217,6 +217,10 @@ StatusOr<ModuleManager::CompiledForm*> ModuleManager::CompileFormLocked(
     if (n == 1) return absint::Card::kOne;
     return n <= 16 ? absint::Card::kFew : absint::Card::kMany;
   };
+  ropts.is_computed = [db](const PredRef& pred) {
+    Relation* rel = db->FindBaseRelation(pred);
+    return rel != nullptr && rel->computed();
+  };
   CORAL_ASSIGN_OR_RETURN(
       RewrittenProgram prog,
       RewriteModule(entry->decl, form, db_->factory(), ropts));

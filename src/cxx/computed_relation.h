@@ -35,6 +35,7 @@ class ComputedRelation : public Relation {
     return Status::Unsupported("relation " + name() +
                                " is defined by C++ code and not updatable");
   }
+  bool computed() const override { return true; }
   bool Contains(const Tuple* t) const override;
   size_t size() const override { return 0; }  // unknown / intensional
 

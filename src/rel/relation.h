@@ -143,6 +143,10 @@ class Relation {
   /// True if a stored tuple equal to (or subsuming) `t` exists.
   virtual bool Contains(const Tuple* t) const = 0;
 
+  /// True for a relation computed by code (paper §7.2) rather than
+  /// stored: its binding needs are invisible to the optimizer.
+  virtual bool computed() const { return false; }
+
   /// Storage-specific admission check, consulted before Insert attempts
   /// anything (e.g. persistent relations only accept ground tuples of
   /// primitive-typed fields, paper §3.2).

@@ -10,8 +10,12 @@ namespace coral {
 
 namespace {
 
-/// Aggregation-marker head positions must stay free: their value is
-/// computed by grouping, never passed in.
+std::string AdornedName(const PredRef& pred, const std::string& ad) {
+  return pred.sym->name + "@" + ad;
+}
+
+}  // namespace
+
 bool IsAggMarkerArg(const Arg* arg) {
   if (arg->kind() != ArgKind::kAtomOrFunctor) return false;
   const auto* f = ArgCast<FunctorArg>(arg);
@@ -23,12 +27,6 @@ bool IsAggMarkerArg(const Arg* arg) {
   }
   return false;
 }
-
-std::string AdornedName(const PredRef& pred, const std::string& ad) {
-  return pred.sym->name + "@" + ad;
-}
-
-}  // namespace
 
 std::vector<uint32_t> BoundPositions(const std::string& adornment) {
   std::vector<uint32_t> out;
@@ -43,7 +41,8 @@ StatusOr<AdornedProgram> AdornProgram(
     const std::unordered_set<PredRef, PredRefHash>& derived,
     const std::unordered_set<PredRef, PredRefHash>& no_adorn,
     const PredRef& query_pred, const std::string& adornment,
-    TermFactory* factory) {
+    TermFactory* factory,
+    const std::unordered_set<PredRef, PredRefHash>& restricted) {
   if (adornment.size() != query_pred.arity) {
     return Status::InvalidArgument(
         "adornment " + adornment + " does not match arity of " +
@@ -68,7 +67,7 @@ StatusOr<AdornedProgram> AdornProgram(
     std::string key = p.ToString() + "@" + ad;
     if (seen.insert(key).second) {
       worklist.emplace_back(p, ad);
-      out.adorned.emplace(ap, AdornInfo{p, ad});
+      out.adorned.emplace(ap, AdornInfo{p, ad, restricted.count(p) > 0});
     }
     return ap;
   };
@@ -93,13 +92,16 @@ StatusOr<AdornedProgram> AdornProgram(
           CollectVars(r.head.args[i], &bound);
         }
       }
+      const std::set<uint32_t> head_bound = bound;
 
       for (Literal& lit : r.body) {
         PredRef bp = lit.pred_ref();
         if (adornable(bp)) {
+          const std::set<uint32_t>& from =
+              restricted.count(bp) > 0 ? head_bound : bound;
           std::string body_ad;
           for (const Arg* a : lit.args) {
-            body_ad += TermBound(a, bound) ? 'b' : 'f';
+            body_ad += TermBound(a, from) ? 'b' : 'f';
           }
           PredRef ap = enqueue(bp, body_ad);
           lit.pred = ap.sym;

@@ -23,6 +23,9 @@ namespace coral {
 struct AdornInfo {
   PredRef original;
   std::string adornment;  // e.g. "bf"
+  /// Adorned from head bindings only (see AdornProgram's `restricted`):
+  /// its magic rules read nothing but the enclosing rule's head magic.
+  bool restricted = false;
 };
 
 /// Result of the adornment pass.
@@ -35,16 +38,24 @@ struct AdornedProgram {
 /// Positions of 'b' in an adornment string.
 std::vector<uint32_t> BoundPositions(const std::string& adornment);
 
+/// True for an aggregation-marker head argument (`<X>`, `min(<X>)`): its
+/// value is computed by grouping, so a binding there restricts nothing.
+bool IsAggMarkerArg(const Arg* arg);
+
 /// Adorns `rules` for query form (pred, adornment). Predicates in
 /// `no_adorn` (and all non-derived predicates) keep their names and
-/// propagate bindings as fully-evaluated relations. Aggregation marker
+/// propagate bindings as fully-evaluated relations. Occurrences of
+/// predicates in `restricted` are adorned from the enclosing rule's
+/// head bindings only, never from body literals to their left, so their
+/// magic never depends on what the body computes. Aggregation marker
 /// positions in heads are forced free.
 StatusOr<AdornedProgram> AdornProgram(
     const std::vector<Rule>& rules,
     const std::unordered_set<PredRef, PredRefHash>& derived,
     const std::unordered_set<PredRef, PredRefHash>& no_adorn,
     const PredRef& query_pred, const std::string& adornment,
-    TermFactory* factory);
+    TermFactory* factory,
+    const std::unordered_set<PredRef, PredRefHash>& restricted = {});
 
 }  // namespace coral
 

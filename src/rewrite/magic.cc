@@ -54,7 +54,9 @@ StatusOr<MagicProgram> MagicTemplates(const AdornedProgram& adorned,
       magic_rule.head = MakeMagicLiteral(lit, it->second.adornment, factory);
       magic_rule.head.negated = false;
       magic_rule.body.push_back(head_magic);
-      for (size_t j = 0; j < i; ++j) magic_rule.body.push_back(r.body[j]);
+      if (!it->second.restricted) {
+        for (size_t j = 0; j < i; ++j) magic_rule.body.push_back(r.body[j]);
+      }
       magic_rule.var_count = r.var_count;
       magic_rule.var_names = r.var_names;
       out.rules.push_back(std::move(magic_rule));

@@ -2,7 +2,8 @@
 // Magic Templates rewriting (paper §4.1, citing [18]): given the adorned
 // program, guard every rule by a magic literal carrying the head's bound
 // arguments, and derive magic facts for each derived body literal from the
-// rule prefix to its left. Magic facts may be non-ground (Templates, not
+// rule prefix to its left (from the head's magic alone for a literal
+// adorned as restricted, see AdornInfo). Magic facts may be non-ground (Templates, not
 // just Sets): our relations store non-ground tuples natively.
 
 #ifndef CORAL_REWRITE_MAGIC_H_

@@ -1,6 +1,8 @@
 #include "src/rewrite/rewriter.h"
 
+#include <algorithm>
 #include <deque>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -17,22 +19,22 @@ namespace coral {
 
 namespace {
 
-/// Derived predicates whose complete extensions are required (negated
-/// occurrences; bodies of aggregate rules) plus everything they depend on.
-std::unordered_set<PredRef, PredRefHash> ProtectedClosure(
-    const std::vector<Rule>& rules,
-    const std::unordered_set<PredRef, PredRefHash>& derived) {
-  std::unordered_set<PredRef, PredRefHash> protected_set;
+using PredSet = std::unordered_set<PredRef, PredRefHash>;
+
+/// Derived predicates read by a body literal that `seeds` selects, plus
+/// everything they depend on: the predicates whose complete extensions
+/// such a literal requires.
+PredSet DependencyClosure(
+    const std::vector<Rule>& rules, const PredSet& derived,
+    const std::function<bool(const Rule&, const Literal&)>& seeds) {
+  PredSet closure;
   std::deque<PredRef> work;
   auto add = [&](const PredRef& p) {
-    if (derived.count(p) && protected_set.insert(p).second) {
-      work.push_back(p);
-    }
+    if (derived.count(p) && closure.insert(p).second) work.push_back(p);
   };
   for (const Rule& r : rules) {
-    bool agg = IsAggregateRule(r);
     for (const Literal& lit : r.body) {
-      if (lit.negated || agg) add(lit.pred_ref());
+      if (seeds(r, lit)) add(lit.pred_ref());
     }
   }
   while (!work.empty()) {
@@ -43,7 +45,57 @@ std::unordered_set<PredRef, PredRefHash> ProtectedClosure(
       for (const Literal& lit : r.body) add(lit.pred_ref());
     }
   }
-  return protected_set;
+  return closure;
+}
+
+/// Why an aggregate body cannot be restricted to the bindings of the
+/// aggregate's head in `adorned` ("" when it can). Following LDL++'s
+/// push-selection-into-grouping rule, a restricted body keeps each bound
+/// group whole only when
+///   - every bound head position of an aggregate rule that reads a
+///     restricted predicate is a grouping position (a bound aggregate
+///     result selects among groups, it does not name one), and
+///   - every @aggregate_selection on a restricted predicate groups by
+///     each of its bound columns (otherwise the selection compares tuples
+///     across bindings, and restriction changes which ones it keeps).
+std::string RestrictionBlocker(const AdornedProgram& adorned,
+                               const ModuleDecl& module) {
+  for (const Rule& r : adorned.rules) {
+    const AdornInfo& head = adorned.adorned.at(r.head.pred_ref());
+    bool agg = IsAggregateRule(r);
+    for (const Literal& lit : r.body) {
+      auto it = adorned.adorned.find(lit.pred_ref());
+      if (it == adorned.adorned.end() || !it->second.restricted) continue;
+      const AdornInfo& body = it->second;
+      if (agg) {
+        for (uint32_t i : BoundPositions(head.adornment)) {
+          if (IsAggMarkerArg(r.head.args[i])) {
+            return "aggregate result of " + head.original.ToString() +
+                   " is bound";
+          }
+        }
+      }
+      for (const AggSelDecl& sel : module.agg_selections) {
+        if (sel.pred != body.original.sym ||
+            sel.pattern.size() != body.original.arity) {
+          continue;
+        }
+        std::set<uint32_t> group;
+        for (const Arg* g : sel.group_args) CollectVars(g, &group);
+        for (uint32_t c : BoundPositions(body.adornment)) {
+          std::set<uint32_t> col;
+          CollectVars(sel.pattern[c], &col);
+          if (!std::includes(group.begin(), group.end(), col.begin(),
+                             col.end())) {
+            return "aggregate selection on " + body.original.ToString() +
+                   " does not group by bound column " +
+                   std::to_string(c + 1);
+          }
+        }
+      }
+    }
+  }
+  return "";
 }
 
 /// Join-order selection (paper §4.2): greedily schedule the most-bound
@@ -180,10 +232,22 @@ void OptimizeProgram(const ModuleDecl& module, const RewriteOptions& opts,
   // must stay immediately before the literals they protect.
   bool reorder_on = (module.reorder_joins || opts.auto_reorder) &&
                     !module.no_reorder_joins && !module.ordered_search;
+  // A rule over a C++ computed relation keeps its written order: the
+  // relation's binding needs are unknown, and moving it ahead of the
+  // literals that bind its inputs makes it fail.
   std::vector<size_t> reordered;
+  std::vector<size_t> kept;
   if (reorder_on) {
     for (size_t i = 0; i < prog->rules.size(); ++i) {
-      if (ReorderRuleBody(&prog->rules[i], facts, opts.is_builtin)) {
+      Rule& r = prog->rules[i];
+      bool computed =
+          opts.is_computed != nullptr &&
+          std::any_of(r.body.begin(), r.body.end(), [&](const Literal& l) {
+            return opts.is_computed(l.pred_ref());
+          });
+      if (computed) {
+        kept.push_back(i);
+      } else if (ReorderRuleBody(&r, facts, opts.is_builtin)) {
         reordered.push_back(i);
       }
     }
@@ -219,6 +283,10 @@ void OptimizeProgram(const ModuleDecl& module, const RewriteOptions& opts,
   }
 
   std::ostringstream plan;
+  plan << "magic:\n";
+  for (const std::string& note : prog->magic_notes) {
+    plan << "  " << note << "\n";
+  }
   plan << "inferred modes:\n";
   std::istringstream summary(facts.Summary());
   bool any_mode = false;
@@ -239,6 +307,10 @@ void OptimizeProgram(const ModuleDecl& module, const RewriteOptions& opts,
          << " rule(s) reordered)\n";
     for (size_t i : reordered) {
       plan << "  " << prog->rules[i].ToString() << "\n";
+    }
+    for (size_t i : kept) {
+      plan << "  as written (C++ predicate, binding modes unknown): "
+           << prog->rules[i].ToString() << "\n";
     }
   }
   plan << "indexes:\n";
@@ -293,6 +365,48 @@ void InsertDoneGuards(RewrittenProgram* prog, TermFactory* factory) {
   }
 }
 
+/// Applies the module's magic-style rewriting to `adorned`, appends the
+/// full (unadorned) rules of the `no_adorn` predicates, and builds the
+/// dependency graph of the result.
+StatusOr<RewrittenProgram> MagicRewrite(const ModuleDecl& module,
+                                        const QueryFormDecl& form,
+                                        const AdornedProgram& adorned,
+                                        const PredSet& no_adorn,
+                                        TermFactory* factory) {
+  MagicProgram magic;
+  if (module.rewrite == RewriteKind::kMagic) {
+    CORAL_ASSIGN_OR_RETURN(magic, MagicTemplates(adorned, factory));
+  } else if (module.rewrite == RewriteKind::kFactoring) {
+    if (module.save_module) {
+      return Status::Unsupported(
+          "@factoring is incompatible with @save_module: factored "
+          "answers are only attributable to a single seed per call");
+    }
+    CORAL_ASSIGN_OR_RETURN(magic, ContextFactoring(adorned, factory));
+  } else {
+    CORAL_ASSIGN_OR_RETURN(magic, SupplementaryMagic(adorned, factory));
+  }
+
+  RewrittenProgram prog;
+  prog.ordered_search = module.ordered_search;
+  prog.bound_positions = BoundPositions(form.adornment);
+  prog.rules = std::move(magic.rules);
+  prog.magic_of = std::move(magic.magic_of);
+  prog.seed_pred = magic.seed_pred;
+  prog.uses_magic = true;
+  prog.answer_pred = adorned.query_pred;
+  prog.answer_adornment = form.adornment;
+  for (const auto& [apred, info] : adorned.adorned) {
+    prog.original_of.emplace(apred, info.original);
+  }
+  for (const Rule& r : module.rules) {
+    if (no_adorn.count(r.head.pred_ref())) prog.rules.push_back(r);
+  }
+  if (module.ordered_search) InsertDoneGuards(&prog, factory);
+  prog.graph = DepGraph::Build(prog.rules);
+  return prog;
+}
+
 }  // namespace
 
 StatusOr<RewrittenProgram> RewriteModule(const ModuleDecl& module,
@@ -344,6 +458,7 @@ StatusOr<RewrittenProgram> RewriteModule(const ModuleDecl& module,
     out.answer_adornment = "";
     out.uses_magic = false;
     out.graph = std::move(original_graph);
+    out.magic_notes = {"off (@no_rewriting)"};
     OptimizeProgram(module, opts, &out);
     out.seminaive =
         BuildSemiNaive(out.rules, out.graph, module.save_module, nullptr);
@@ -351,89 +466,101 @@ StatusOr<RewrittenProgram> RewriteModule(const ModuleDecl& module,
     return out;
   }
 
-  // Magic-style rewriting, with automatic fallback: first try adorning
-  // everything; if the rewritten program tangles negation/aggregation into
-  // a recursive SCC (magic can break stratification), recompute with the
-  // affected predicates protected (evaluated fully, unadorned).
-  std::unordered_set<PredRef, PredRefHash> no_adorn;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    CORAL_ASSIGN_OR_RETURN(
-        AdornedProgram adorned,
-        AdornProgram(module.rules, original_graph.derived(), no_adorn,
-                     query_pred, form.adornment, factory));
-    MagicProgram magic;
-    if (module.rewrite == RewriteKind::kMagic) {
-      CORAL_ASSIGN_OR_RETURN(magic, MagicTemplates(adorned, factory));
-    } else if (module.rewrite == RewriteKind::kFactoring) {
-      if (module.save_module) {
-        return Status::Unsupported(
-            "@factoring is incompatible with @save_module: factored "
-            "answers are only attributable to a single seed per call");
-      }
-      CORAL_ASSIGN_OR_RETURN(magic, ContextFactoring(adorned, factory));
-    } else {
-      CORAL_ASSIGN_OR_RETURN(magic, SupplementaryMagic(adorned, factory));
-    }
-
-    RewrittenProgram prog;
-    prog.ordered_search = module.ordered_search;
-    prog.bound_positions = out.bound_positions;
-    prog.rules = std::move(magic.rules);
-    prog.magic_of = std::move(magic.magic_of);
-    prog.seed_pred = magic.seed_pred;
-    prog.uses_magic = true;
-    prog.answer_pred = adorned.query_pred;
-    prog.answer_adornment = form.adornment;
-    for (const auto& [apred, info] : adorned.adorned) {
-      prog.original_of.emplace(apred, info.original);
-    }
-
-    // Append full (unadorned) rules of protected predicates.
-    if (!no_adorn.empty()) {
-      for (const Rule& r : module.rules) {
-        if (no_adorn.count(r.head.pred_ref())) prog.rules.push_back(r);
-      }
-    }
-
-    if (module.ordered_search) {
-      InsertDoneGuards(&prog, factory);
-    }
-
-    prog.graph = DepGraph::Build(prog.rules);
-    if (!prog.graph.stratified() && !module.ordered_search) {
-      if (attempt == 0) {
-        // Retry with protection.
-        no_adorn = ProtectedClosure(module.rules, original_graph.derived());
-        if (no_adorn.empty()) {
-          return StratificationError(
-              module, "module is not stratified (" +
-                          prog.graph.violation() + ")");
-        }
-        continue;
-      }
+  // Magic-style rewriting, with automatic fallback. Magic can break
+  // stratification by tangling negation or aggregation into a recursive
+  // SCC; the first stratified attempt of three wins:
+  //   1. adorn everything;
+  //   2. restrict through grouping: evaluate the predicates that negated
+  //      literals need fully, and adorn those that only aggregate bodies
+  //      need from head bindings alone (RestrictionBlocker says when that
+  //      is sound), so their magic never reads the aggregate;
+  //   3. evaluate every predicate negation or aggregation needs fully
+  //      (unadorned).
+  // Ordered Search never retries: its done-guards keep the program sound.
+  const PredSet& derived = original_graph.derived();
+  auto adorn = [&](const PredSet& no_adorn, const PredSet& restricted) {
+    return AdornProgram(module.rules, derived, no_adorn, query_pred,
+                        form.adornment, factory, restricted);
+  };
+  CORAL_ASSIGN_OR_RETURN(AdornedProgram adorned, adorn({}, {}));
+  CORAL_ASSIGN_OR_RETURN(RewrittenProgram prog,
+                         MagicRewrite(module, form, adorned, {}, factory));
+  std::set<std::string> restricted_names;
+  std::map<std::string, std::string> unadorned;  // predicate -> reason
+  if (!prog.graph.stratified() && !module.ordered_search) {
+    PredSet negation = DependencyClosure(
+        module.rules, derived,
+        [](const Rule&, const Literal& lit) { return lit.negated; });
+    PredSet aggregation = DependencyClosure(
+        module.rules, derived,
+        [](const Rule& r, const Literal&) { return IsAggregateRule(r); });
+    if (negation.empty() && aggregation.empty()) {
       return StratificationError(
           module,
-          "module is not stratified even with full evaluation of "
-          "negated/aggregated predicates (" + prog.graph.violation() +
-          "); use @ordered_search");
+          "module is not stratified (" + prog.graph.violation() + ")");
     }
-
-    OptimizeProgram(module, opts, &prog);
-    std::unordered_set<PredRef, PredRefHash> engine_fed;
-    for (const auto& [magic_pred, done] : prog.done_of) {
-      engine_fed.insert(done);
+    PredSet restricted;
+    for (const PredRef& p : aggregation) {
+      if (negation.count(p) == 0) restricted.insert(p);
     }
-    // The query's magic seed has no defining rules but receives facts
-    // from Seed(); it must be delta-capable or save-module resumption
-    // with a fresh subgoal would never re-fire the guarded rules.
-    engine_fed.insert(prog.seed_pred);
-    prog.seminaive = BuildSemiNaive(
-        prog.rules, prog.graph,
-        module.save_module || module.ordered_search, &engine_fed);
-    prog.listing = ListingOf(prog.rules);
-    return prog;
+    PredSet no_adorn = negation;
+    // Context factoring handles a single adorned predicate only.
+    std::string blocker = "@factoring";
+    bool done = false;
+    if (!restricted.empty() && module.rewrite != RewriteKind::kFactoring) {
+      CORAL_ASSIGN_OR_RETURN(adorned, adorn(negation, restricted));
+      blocker = RestrictionBlocker(adorned, module);
+      if (blocker.empty()) {
+        CORAL_ASSIGN_OR_RETURN(
+            prog, MagicRewrite(module, form, adorned, negation, factory));
+        done = prog.graph.stratified();
+        if (!done) blocker = "still unstratified";
+      }
+    }
+    if (done) {
+      for (const auto& [apred, info] : adorned.adorned) {
+        if (info.restricted) restricted_names.insert(info.original.ToString());
+      }
+    } else {
+      no_adorn.insert(aggregation.begin(), aggregation.end());
+      CORAL_ASSIGN_OR_RETURN(adorned, adorn(no_adorn, {}));
+      CORAL_ASSIGN_OR_RETURN(
+          prog, MagicRewrite(module, form, adorned, no_adorn, factory));
+      if (!prog.graph.stratified()) {
+        return StratificationError(
+            module,
+            "module is not stratified even with full evaluation of "
+            "negated/aggregated predicates (" + prog.graph.violation() +
+            "); use @ordered_search");
+      }
+    }
+    for (const PredRef& p : no_adorn) {
+      unadorned[p.ToString()] =
+          negation.count(p) > 0 ? "negated literal" : blocker;
+    }
   }
-  CORAL_UNREACHABLE();
+  for (const std::string& name : restricted_names) {
+    prog.magic_notes.push_back("restricted by grouping: " + name);
+  }
+  for (const auto& [name, why] : unadorned) {
+    prog.magic_notes.push_back("unadorned: " + name + " (" + why + ")");
+  }
+  if (unadorned.empty()) prog.magic_notes.push_back("unadorned: (none)");
+
+  OptimizeProgram(module, opts, &prog);
+  std::unordered_set<PredRef, PredRefHash> engine_fed;
+  for (const auto& [magic_pred, done] : prog.done_of) {
+    engine_fed.insert(done);
+  }
+  // The query's magic seed has no defining rules but receives facts
+  // from Seed(); it must be delta-capable or save-module resumption
+  // with a fresh subgoal would never re-fire the guarded rules.
+  engine_fed.insert(prog.seed_pred);
+  prog.seminaive = BuildSemiNaive(
+      prog.rules, prog.graph, module.save_module || module.ordered_search,
+      &engine_fed);
+  prog.listing = ListingOf(prog.rules);
+  return prog;
 }
 
 }  // namespace coral

@@ -2,10 +2,11 @@
 // The query optimizer's rewriting orchestration (paper §2, §4): takes a
 // program module and a query form, applies adornment plus the selected
 // magic rewriting, handles negation/aggregation (by automatic fallback to
-// full evaluation of tangled predicates, or by Ordered Search done-guards),
-// performs the semi-naive rewriting, and produces the internal
-// representation the evaluation system interprets — plus a text listing of
-// the rewritten program, the paper's debugging aid.
+// restricting aggregate bodies through grouping or to full evaluation of
+// tangled predicates, or by Ordered Search done-guards), performs the
+// semi-naive rewriting, and produces the internal representation the
+// evaluation system interprets — plus a text listing of the rewritten
+// program, the paper's debugging aid.
 
 #ifndef CORAL_REWRITE_REWRITER_H_
 #define CORAL_REWRITE_REWRITER_H_
@@ -40,6 +41,9 @@ struct RewriteOptions {
   std::function<bool(const std::string& name, uint32_t arity)> is_builtin;
   /// Cardinality class of a base relation at compile time; null = kMany.
   std::function<absint::Card(const PredRef&)> base_card;
+  /// True for a relation computed by C++ code, whose binding modes the
+  /// optimizer cannot see: rules reading one keep their written order.
+  std::function<bool(const PredRef&)> is_computed;
 };
 
 /// One optimizer-selected argument index: the rewritten-program predicate
@@ -75,6 +79,11 @@ struct RewrittenProgram {
   std::unordered_map<PredRef, PredRef, PredRefHash> done_of;
   bool ordered_search = false;
 
+  /// The plan's "magic:" lines: predicates whose magic was restricted to
+  /// head bindings through grouping, and predicates left unadorned, each
+  /// with its reason.
+  std::vector<std::string> magic_notes;
+
   /// Rewritten program listing (paper §2: stored as text as a debugging
   /// aid for the user).
   std::string listing;
@@ -82,9 +91,10 @@ struct RewrittenProgram {
   /// Argument indexes selected by the optimizer (deduplicated); applied
   /// to internal or base relations by MaterializedInstance::Init.
   std::vector<PlannedIndex> index_plan;
-  /// Human-readable plan: inferred modes (groundness/types/cardinality),
-  /// join-order decision, and the index plan. Appended to listing files
-  /// and exposed through ModuleManager::PlanListing / coral_prof --plan.
+  /// Human-readable plan: magic decisions, inferred modes
+  /// (groundness/types/cardinality), join-order decision, and the index
+  /// plan. Appended to listing files and exposed through
+  /// ModuleManager::PlanListing / coral_prof --plan.
   std::string plan;
 };
 

@@ -55,6 +55,22 @@ StatusOr<MagicProgram> SupplementaryMagic(const AdornedProgram& adorned,
       }
 
       magic_pred_of(lit.pred_ref());
+      if (it->second.restricted) {
+        // Restricted subgoal (never negated): its magic comes from the
+        // head's magic alone, so no split is needed; the literal joins the
+        // prefix in place.
+        Rule magic_rule;
+        magic_rule.head = MakeMagicLiteral(lit, it->second.adornment, factory);
+        magic_rule.head.negated = false;
+        magic_rule.body = {head_magic};
+        magic_rule.var_count = r.var_count;
+        magic_rule.var_names = r.var_names;
+        out.rules.push_back(std::move(magic_rule));
+        prefix.push_back(lit);
+        std::set<uint32_t> vars = VarsOfLiteral(lit);
+        available.insert(vars.begin(), vars.end());
+        continue;
+      }
       if (lit.negated) {
         // Seed the negated subquery from the prefix; the negated literal
         // itself remains in the prefix as an anti-join.

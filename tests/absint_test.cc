@@ -599,6 +599,86 @@ TEST_F(PlanTest, PlanListingShowsModesOrderAndIndexes) {
   EXPECT_NE(plan->find("edge/2: args (1)"), std::string::npos) << *plan;
 }
 
+TEST_F(PlanTest, PlanListingExplainsMagicFallback) {
+  Database db;
+  Load(&db, "edge(a, b, 1). edge(b, c, 2). e(a, b). b(a).");
+  // Nothing tangled: every predicate is adorned.
+  Load(&db, kPathModule);
+  auto plan = db.PlanListing("paths", "path", "bf");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("magic:\n  unadorned: (none)\n"), std::string::npos)
+      << *plan;
+
+  // Fig. 3: p is restricted to the bound source, nothing left unadorned.
+  Load(&db,
+       "module s_p.\n"
+       "export s_p(bfff).\n"
+       "@aggregate_selection p(X, Y, P, C) (X, Y) min(C).\n"
+       "@aggregate_selection p(X, Y, P, C) (X, Y, C) any(P).\n"
+       "s_p(X, Y, P, C) :- s_p_length(X, Y, C), p(X, Y, P, C).\n"
+       "s_p_length(X, Y, min(<C>)) :- p(X, Y, _, C).\n"
+       "p(X, Y, P1, C1) :- p(X, Z, P, C), edge(Z, Y, EC),\n"
+       "                   append([edge(Z, Y)], P, P1), C1 = C + EC.\n"
+       "p(X, Y, [edge(X, Y)], C) :- edge(X, Y, C).\n"
+       "end_module.\n");
+  plan = db.PlanListing("s_p", "s_p", "bfff");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("magic:\n  restricted by grouping: p/4\n"
+                       "  unadorned: (none)\n"),
+            std::string::npos)
+      << *plan;
+  EXPECT_EQ(Ask(&db, "s_p(a, c, P, C)"),
+            std::vector<std::string>{"P = [edge(b,c),edge(a,b)], C = 3"});
+
+  // A negated literal keeps full protection.
+  Load(&db,
+       "module neg.\n"
+       "export t(b).\n"
+       "t(X) :- p(X), not s(X).\n"
+       "p(X) :- e(X, Y), t(Y).\n"
+       "p(X) :- b(X).\n"
+       "s(X) :- b(X).\n"
+       "end_module.\n");
+  plan = db.PlanListing("neg", "t", "b");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("magic:\n  unadorned: s/1 (negated literal)\n"),
+            std::string::npos)
+      << *plan;
+
+  // A selection grouping that misses the bound column.
+  Load(&db,
+       "module sel.\n"
+       "export s(bff).\n"
+       "@aggregate_selection q(X, Y, C) (Y) min(C).\n"
+       "s(X, Y, C) :- sl(X, Y, C), q(X, Y, C).\n"
+       "sl(X, Y, min(<C>)) :- q(X, Y, C).\n"
+       "q(X, Y, C) :- edge(X, Y, C).\n"
+       "q(X, Y, C) :- q(X, Z, C1), edge(Z, Y, C2), C = C1 + C2.\n"
+       "end_module.\n");
+  plan = db.PlanListing("sel", "s", "bff");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("unadorned: q/3 (aggregate selection on q/3 does "
+                       "not group by bound column 1)"),
+            std::string::npos)
+      << *plan;
+
+  // r's magic still comes through cnt when o (not an aggregate body)
+  // reads r, so restriction alone does not stratify the program.
+  Load(&db,
+       "module cyc.\n"
+       "export top(bf).\n"
+       "top(X, Y) :- cnt(X, N), o(N, Y).\n"
+       "cnt(X, count(<Y>)) :- r(X, Y).\n"
+       "o(N, Y) :- r(N, Y).\n"
+       "r(X, Y) :- e(X, Y).\n"
+       "end_module.\n");
+  plan = db.PlanListing("cyc", "top", "bf");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("magic:\n  unadorned: r/2 (still unstratified)\n"),
+            std::string::npos)
+      << *plan;
+}
+
 TEST_F(PlanTest, AutoOptimizeOffPlansAsWritten) {
   Database db;
   db.set_auto_optimize(false);

@@ -126,6 +126,72 @@ TEST(CxxTest, RegisteredPredicateCalledFromRules) {
   EXPECT_EQ(rows[0]->arg(1), c.Int(12));
 }
 
+TEST(CxxTest, ComputedPredicateKeepsWrittenJoinOrder) {
+  // The geo module of examples/cxx_extension.cpp, without
+  // @no_reorder_joins. haversine needs its four coordinates bound; the
+  // optimizer cannot see that, so a rule reading it keeps the written
+  // order instead of probing haversine before city binds LatB/LonB.
+  Coral c;
+  ASSERT_TRUE(c.RegisterPredicate(
+                   "haversine", 5,
+                   [](std::span<const TermRef> args, TermFactory* f,
+                      std::vector<const Tuple*>* out) -> Status {
+                     double v[4];
+                     for (int i = 0; i < 4; ++i) {
+                       TermRef r = Deref(args[i].term, args[i].env);
+                       if (r.term->kind() != ArgKind::kDouble) {
+                         return Status::FailedPrecondition(
+                             "haversine needs bound coordinates");
+                       }
+                       v[i] = ArgCast<DoubleArg>(r.term)->value();
+                     }
+                     auto rad = [](double d) { return d * M_PI / 180.0; };
+                     double dlat = rad(v[2] - v[0]), dlon = rad(v[3] - v[1]);
+                     double a = std::sin(dlat / 2) * std::sin(dlat / 2) +
+                                std::cos(rad(v[0])) * std::cos(rad(v[2])) *
+                                    std::sin(dlon / 2) * std::sin(dlon / 2);
+                     double km = 2 * 6371.0 * std::asin(std::sqrt(a));
+                     const Arg* t[5];
+                     for (int i = 0; i < 4; ++i) {
+                       t[i] = Deref(args[i].term, args[i].env).term;
+                     }
+                     t[4] = f->MakeDouble(std::round(km));
+                     out->push_back(f->MakeTuple(t));
+                     return Status::OK();
+                   })
+                  .ok());
+  auto st = c.Consult(R"(
+    city(madison, 43.07, -89.40).
+    city(chicago, 41.88, -87.63).
+    city(seattle, 47.61, -122.33).
+    city(boston, 42.36, -71.06).
+    module geo.
+    export distance(bbf), near_madison(ff).
+    distance(A, B, Km) :- city(A, LatA, LonA), city(B, LatB, LonB),
+                          haversine(LatA, LonA, LatB, LonB, Km).
+    near_madison(B, Km) :- distance(madison, B, Km), Km < 1000.0,
+                           B \= madison.
+    end_module.
+  )");
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  auto out = c.Command("?- distance(madison, B, Km).");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  for (const char* city : {"madison", "chicago", "seattle", "boston"}) {
+    EXPECT_NE(out->find(std::string("B = ") + city), std::string::npos)
+        << *out;
+  }
+  auto near = c.Command("?- near_madison(B, Km).");
+  ASSERT_TRUE(near.ok()) << near.status().ToString();
+  EXPECT_NE(near->find("B = chicago"), std::string::npos) << *near;
+  EXPECT_EQ(near->find("B = seattle"), std::string::npos) << *near;
+  auto plan = c.db()->PlanListing("geo", "distance", "bbf");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("as written (C++ predicate, binding modes unknown): "
+                       "distance@bbf("),
+            std::string::npos)
+      << *plan;
+}
+
 TEST(CxxTest, RegisteredPredicateRejectsDuplicateAndUpdates) {
   Coral c;
   auto fn = [](std::span<const TermRef>, TermFactory*,

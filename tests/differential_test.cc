@@ -526,7 +526,13 @@ void RunAutoOptimizeDifferential(uint64_t seed, bool with_negation) {
   }
 }
 
-void RunAggregateDifferential(uint64_t seed, int threads = 1) {
+// Besides the folds, every derived predicate d gets a Fig. 3-shaped
+// consumer `argd(X, Y) :- aggd(X, V), d(X, Y), Y = V.` queried as bf:
+// full adornment feeds d's magic through aggd, so the rewriter restricts
+// d to the bound group instead. `restricted` counts the forms whose plan
+// took that path.
+void RunAggregateDifferential(uint64_t seed, int threads,
+                              int* restricted) {
   Lcg rng(seed);
   std::vector<GRule> rules = GenProgram(&rng, /*with_negation=*/false);
   if (rules.empty()) return;
@@ -560,6 +566,10 @@ void RunAggregateDifferential(uint64_t seed, int threads = 1) {
     agg_rules += "agg" + std::to_string(d) + "(X, " + kFns[fn[d]] +
                  "(<Y>)) :- " + PredName(kBase + d) + "(X, Y).\n";
     agg_exports += "export agg" + std::to_string(d) + "(bf).\n";
+    agg_rules += "arg" + std::to_string(d) + "(X, Y) :- agg" +
+                 std::to_string(d) + "(X, V), " + PredName(kBase + d) +
+                 "(X, Y), Y = V.\n";
+    agg_exports += "export arg" + std::to_string(d) + "(bf).\n";
   }
   text.insert(end_pos, agg_exports + agg_rules);
 
@@ -574,6 +584,7 @@ void RunAggregateDifferential(uint64_t seed, int threads = 1) {
     for (const Fact& f : expected[kBase + d]) {
       groups[f.first].push_back(f.second);
     }
+    std::map<int, int64_t> folds;
     for (auto& [key, vals] : groups) {
       int64_t want = 0;
       switch (fn[d]) {
@@ -583,6 +594,7 @@ void RunAggregateDifferential(uint64_t seed, int threads = 1) {
         default:
           for (int v : vals) want += v;
       }
+      folds[key] = want;
       auto res = db.EvalQuery("agg" + std::to_string(d) + "(" +
                            std::to_string(key) + ", V)");
       ASSERT_TRUE(res.ok()) << res.status().ToString() << "\n" << text;
@@ -597,6 +609,31 @@ void RunAggregateDifferential(uint64_t seed, int threads = 1) {
     auto all = db.EvalQuery("agg" + std::to_string(d) + "(X, V)");
     ASSERT_TRUE(all.ok());
     EXPECT_EQ(all->rows.size(), groups.size()) << "seed " << seed;
+
+    // The consumer: Y is a d-successor of the key equal to its fold.
+    for (int key = 0; key < kDomain; ++key) {
+      std::vector<std::string> want;
+      auto fit = folds.find(key);
+      if (fit != folds.end()) {
+        const std::vector<int>& vals = groups[key];
+        if (std::find(vals.begin(), vals.end(), fit->second) != vals.end()) {
+          want.push_back("Y = " + std::to_string(fit->second));
+        }
+      }
+      auto res = db.EvalQuery("arg" + std::to_string(d) + "(" +
+                              std::to_string(key) + ", Y)");
+      ASSERT_TRUE(res.ok()) << res.status().ToString() << "\n" << text;
+      std::vector<std::string> got;
+      for (const AnswerRow& row : res->rows) got.push_back(row.ToString());
+      EXPECT_EQ(got, want) << "arg" << d << " key " << key << " seed "
+                           << seed << "\n" << text;
+    }
+    auto plan = db.PlanListing("gen", "arg" + std::to_string(d), "bf");
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    if (plan->find("restricted by grouping: " + PredName(kBase + d)) !=
+        std::string::npos) {
+      ++*restricted;
+    }
   }
 }
 
@@ -983,10 +1020,12 @@ TEST(VmVerifierProperty, CompilerOutputAlwaysVerifies) {
 }
 
 TEST(DifferentialTest, AggregatesMatchReferenceFolds) {
+  int restricted = 0;
   for (uint64_t seed = 5000; seed <= 5040; ++seed) {
-    RunAggregateDifferential(seed);
+    RunAggregateDifferential(seed, /*threads=*/1, &restricted);
     if (::testing::Test::HasFatalFailure()) return;
   }
+  EXPECT_GT(restricted, 0);
 }
 
 TEST(DifferentialTest, AutoOptimizeOnOffMatchesReference) {
@@ -1039,10 +1078,12 @@ TEST(ParallelDifferentialTest, ParallelAnnotationMatchesReference) {
 }
 
 TEST(ParallelDifferentialTest, AggregatesUnderParallelEvaluation) {
+  int restricted = 0;
   for (uint64_t seed = 5000; seed <= 5030; ++seed) {
-    RunAggregateDifferential(seed, /*threads=*/4);
+    RunAggregateDifferential(seed, /*threads=*/4, &restricted);
     if (::testing::Test::HasFatalFailure()) return;
   }
+  EXPECT_GT(restricted, 0);
 }
 
 // ---------------------------------------------------------------------

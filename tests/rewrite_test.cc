@@ -356,6 +356,109 @@ TEST_F(RewriteTest, RewriteProtectsWhenMagicBreaksStratification) {
   EXPECT_TRUE(s_rules_present);
 }
 
+// The paper's Fig. 3 program. Full adornment feeds p's magic through
+// s_p_length, which aggregates p; the rewriter then restricts p to the
+// bound source (a grouping column of s_p_length) instead of deriving p
+// for every pair.
+constexpr char kFig3[] = R"(
+  module s_p.
+  export s_p(bfff).
+  @aggregate_selection p(X, Y, P, C) (X, Y) min(C).
+  @aggregate_selection p(X, Y, P, C) (X, Y, C) any(P).
+  s_p(X, Y, P, C) :- s_p_length(X, Y, C), p(X, Y, P, C).
+  s_p_length(X, Y, min(<C>)) :- p(X, Y, P, C).
+  p(X, Y, P1, C1) :- p(X, Z, P, C), edge(Z, Y, EC),
+                     append([edge(Z, Y)], P, P1), C1 = C + EC.
+  p(X, Y, [edge(X, Y)], C) :- edge(X, Y, C).
+  end_module.
+)";
+
+bool HasRuleFor(const RewrittenProgram& prog, const std::string& head) {
+  for (const Rule& r : prog.rules) {
+    if (r.head.pred->name == head) return true;
+  }
+  return false;
+}
+
+TEST_F(RewriteTest, RewriteRestrictsAggregateBodyThroughGrouping) {
+  for (RewriteKind kind :
+       {RewriteKind::kSupplementaryMagic, RewriteKind::kMagic}) {
+    ModuleDecl m = ParseModule(kFig3);
+    m.rewrite = kind;
+    QueryFormDecl form{f.symbols().Intern("s_p"), "bfff"};
+    auto prog = RewriteModule(m, form, &f);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    EXPECT_TRUE(prog->graph.stratified());
+    bool guarded_p = false;
+    for (const Rule& r : prog->rules) {
+      const std::string& head = r.head.pred->name;
+      EXPECT_NE(head, "p") << "unadorned p rule: " << r.ToString();
+      if (head == "p@bfff" && r.body[0].pred->name == "m_p@bfff") {
+        guarded_p = true;
+      }
+      if (head.rfind("m_", 0) == 0) {
+        for (const Literal& lit : r.body) {
+          EXPECT_NE(lit.pred->name.rfind("s_p_length", 0), 0u)
+              << "magic rule reads the aggregate: " << r.ToString();
+        }
+      }
+    }
+    EXPECT_TRUE(guarded_p) << prog->listing;
+    EXPECT_NE(prog->listing.find("m_p@bfff(X) :- m_s_p_length@bff(X)."),
+              std::string::npos)
+        << prog->listing;
+    EXPECT_NE(prog->listing.find("m_p@bfff(X) :- m_s_p@bfff(X)."),
+              std::string::npos)
+        << prog->listing;
+    EXPECT_EQ(prog->magic_notes,
+              (std::vector<std::string>{"restricted by grouping: p/4",
+                                        "unadorned: (none)"}));
+  }
+}
+
+TEST_F(RewriteTest, RewriteKeepsProtectionWhenSelectionCrossesBindings) {
+  // The selection groups by Y only, so it compares tuples across sources:
+  // restricting p to the bound X would change which tuples it keeps.
+  ModuleDecl m = ParseModule(R"(
+    module m.
+    export s(bff).
+    @aggregate_selection p(X, Y, C) (Y) min(C).
+    s(X, Y, C) :- sl(X, Y, C), p(X, Y, C).
+    sl(X, Y, min(<C>)) :- p(X, Y, C).
+    p(X, Y, C) :- e(X, Y, C).
+    p(X, Y, C) :- p(X, Z, C1), e(Z, Y, C2), C = C1 + C2.
+    end_module.
+  )");
+  QueryFormDecl form{f.symbols().Intern("s"), "bff"};
+  auto prog = RewriteModule(m, form, &f);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  EXPECT_TRUE(HasRuleFor(*prog, "p")) << prog->listing;
+  EXPECT_EQ(prog->magic_notes,
+            std::vector<std::string>{
+                "unadorned: p/3 (aggregate selection on p/3 does not group "
+                "by bound column 1)"});
+}
+
+TEST_F(RewriteTest, RewriteKeepsProtectionWhenAggregateResultIsBound) {
+  // top(fb) reaches cnt with only its count position bound; a bound
+  // aggregate result names no group, so e must stay fully evaluated.
+  ModuleDecl m = ParseModule(R"(
+    module m.
+    export top(fb).
+    top(X, N) :- cnt(X, N), e(Z, W).
+    cnt(X, count(<Y>)) :- e(X, Y).
+    e(X, Y) :- b(X, Y).
+    end_module.
+  )");
+  QueryFormDecl form{f.symbols().Intern("top"), "fb"};
+  auto prog = RewriteModule(m, form, &f);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  EXPECT_TRUE(HasRuleFor(*prog, "e")) << prog->listing;
+  EXPECT_EQ(prog->magic_notes,
+            std::vector<std::string>{
+                "unadorned: e/2 (aggregate result of cnt/2 is bound)"});
+}
+
 TEST_F(RewriteTest, RewriteUnstratifiedWithoutOrderedSearchFails) {
   ModuleDecl m = ParseModule(R"(
     module m.
