@@ -16,9 +16,12 @@
 //                              isolation, deadlines, $name bindings
 //                              (the concurrent-access entry point;
 //                              see docs/API.md thread-safety table)
-//   coral::Coral             — the embedded-C++ facade over a Database
+//   coral::Coral             — the embedded-C++ facade over a Database;
+//                              Coral::RegisterPredicate defines a
+//                              predicate by a C++ function
+//                              (coral::ComputedPredicateFn), registered
+//                              as a builtin like append/3
 //   coral::Relation          — stored base relations
-//   coral::ComputedRelation  — predicates defined by C++ functions
 //   coral::QueryResult       — bindings produced by a query
 //   coral::C_ScanDesc        — get-next-tuple cursors over answers
 //   coral::StorageManager    — persistent relations (EXODUS substitute)
@@ -36,7 +39,6 @@
 
 #include "src/core/database.h"
 #include "src/core/session.h"
-#include "src/cxx/computed_relation.h"
 #include "src/cxx/coral.h"
 #include "src/cxx/scan_desc.h"
 #include "src/obs/report.h"

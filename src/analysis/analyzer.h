@@ -16,6 +16,7 @@
 #include "src/analysis/diagnostics.h"
 #include "src/lang/ast.h"
 #include "src/rewrite/depgraph.h"
+#include "src/rewrite/existential.h"
 
 namespace coral {
 
@@ -24,6 +25,9 @@ struct AnalyzerOptions {
   /// the caller (the Database knows its BuiltinRegistry) so the analyzer
   /// does not depend on the evaluation core.
   std::function<bool(const std::string& name, uint32_t arity)> is_builtin;
+  /// Binding modes of a builtin, from the same registry
+  /// (BuiltinRegistry::ModesOf); null: no mode checks (CRL104/CRL105).
+  ModesLookup modes_of;
 
   /// Warnings-as-errors: callers use DiagnosticList::ShouldReject(strict)
   /// to decide whether to refuse the module.

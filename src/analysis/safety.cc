@@ -19,7 +19,6 @@
 // moving the goal (or @reorder_joins) fixes it.
 
 #include <deque>
-#include <map>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -45,47 +44,12 @@ bool IsArithExpr(const Arg* t) {
   return f->arity() > 0 && IsArithName(f->name());
 }
 
-/// Binding modes of the standard builtins: alternative sets of argument
-/// positions that must be bound for the call to be evaluable; on success
-/// a builtin grounds all its arguments. An entry with a single empty set
-/// has no instantiation requirements.
-struct ModeInfo {
-  std::vector<std::vector<uint32_t>> in_sets;
-  const char* usage;
-};
-
-const ModeInfo* FindMode(const std::string& name, uint32_t arity) {
-  static const std::map<std::pair<std::string, uint32_t>, ModeInfo>
-      kModes = {
-          {{"append", 3}, {{{0, 1}, {2}}, "append(+,+,-) or append(-,-,+)"}},
-          {{"member", 2}, {{{1}}, "member(-,+)"}},
-          {{"length", 2}, {{{0}}, "length(+,-)"}},
-          {{"between", 3}, {{{0, 1}}, "between(+,+,-)"}},
-          {{"functor", 3}, {{{0}, {1, 2}}, "functor(+,-,-) or functor(-,+,+)"}},
-          {{"arg", 3}, {{{0, 1}}, "arg(+,+,-)"}},
-          {{"sort", 2}, {{{0}}, "sort(+,-)"}},
-          {{"write", 1}, {{{}}, "write(?)"}},
-          {{"writeln", 1}, {{{}}, "writeln(?)"}},
-          {{"assert", 1}, {{{}}, "assert(?)"}},
-          {{"retract", 1}, {{{}}, "retract(?)"}},
-      };
-  auto it = kModes.find({name, arity});
-  return it == kModes.end() ? nullptr : &it->second;
-}
-
-bool ModeSatisfied(const ModeInfo& mi, const Literal& lit,
-                   const std::set<uint32_t>& bound) {
-  for (const std::vector<uint32_t>& ins : mi.in_sets) {
-    bool ok = true;
-    for (uint32_t i : ins) {
-      if (i >= lit.args.size() || !TermBound(lit.args[i], bound)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return true;
-  }
-  return mi.in_sets.empty();
+/// The declared modes of builtin literal `lit`; nullptr when there are
+/// none to check (no lookup, or a C++ predicate).
+const BindingModes* DeclaredModes(const Literal& lit,
+                                  const AnalyzerOptions& opts) {
+  const BindingModes* modes = ModesOf(opts.modes_of, lit);
+  return modes != nullptr && modes->in_sets.has_value() ? modes : nullptr;
 }
 
 /// Variables a positive goal grounds under `bound`, order-ignored:
@@ -115,9 +79,8 @@ void BindEventual(const Literal& lit, const AnalyzerOptions& opts,
     bind_all();
     return;
   }
-  const ModeInfo* mi = FindMode(
-      lit.pred->name, static_cast<uint32_t>(lit.args.size()));
-  if (mi == nullptr || ModeSatisfied(*mi, lit, *bound)) bind_all();
+  const BindingModes* modes = DeclaredModes(lit, opts);
+  if (modes == nullptr || ModeSatisfied(*modes, lit, *bound)) bind_all();
 }
 
 std::set<uint32_t> EventualBound(const Rule& rule,
@@ -330,22 +293,21 @@ class SafetyPass {
       }
       return;
     }
-    const ModeInfo* mi = FindMode(
-        lit.pred->name, static_cast<uint32_t>(lit.args.size()));
-    if (mi == nullptr || ModeSatisfied(*mi, lit, bound)) return;
+    const BindingModes* modes = DeclaredModes(lit, opts_);
+    if (modes == nullptr || ModeSatisfied(*modes, lit, bound)) return;
     uint32_t key = kLitMarker | static_cast<uint32_t>(lit.loc.line);
-    if (ModeSatisfied(*mi, lit, eventual)) {
+    if (ModeSatisfied(*modes, lit, eventual)) {
       Report(ri, key, diag::kBoundTooLate, DiagSeverity::kWarning,
              lit.loc,
              "builtin goal '" + lit.ToString() +
                  "' runs before its inputs are bound (expects " +
-                 mi->usage +
+                 modes->usage +
                  "); move the goal or enable @reorder_joins");
       return;
     }
     Report(ri, key, diag::kBuiltinMode, DiagSeverity::kWarning, lit.loc,
            "no usable binding mode for builtin goal '" + lit.ToString() +
-               "' (expects " + mi->usage + ")");
+               "' (expects " + modes->usage + ")");
   }
 
   static std::string CallAdornment(const Literal& lit,

@@ -16,7 +16,9 @@
 
 #include "src/data/term_factory.h"
 #include "src/data/unify.h"
+#include "src/rewrite/existential.h"
 #include "src/util/status.h"
+#include "src/util/sync.h"
 
 namespace coral {
 
@@ -36,23 +38,43 @@ class BuiltinGenerator {
 using BuiltinFn = std::function<StatusOr<std::unique_ptr<BuiltinGenerator>>(
     std::span<const TermRef> args, TermFactory* factory)>;
 
-/// Name/arity-keyed registry; each Database owns one pre-loaded with the
-/// standard builtins, extensible by users (paper §7.1: registration of
-/// predicates manipulating new types is a single command).
+/// One predicate computed by code rather than stored (paper §6.2, §7.1):
+/// a standard builtin, an update predicate or a predicate defined in C++.
+struct BuiltinEntry {
+  BuiltinFn fn;
+  BindingModes modes;
+};
+
+/// Name/arity-keyed registry of every predicate computed by code; each
+/// Database owns one pre-loaded with the standard builtins, extensible by
+/// users (paper §7.1: registration of predicates manipulating new types
+/// is a single command). Entries are never replaced or removed, so the
+/// pointers Find and Lookup return stay valid.
 class BuiltinRegistry {
  public:
   BuiltinRegistry() = default;
 
-  void Register(const std::string& name, uint32_t arity, BuiltinFn fn);
+  /// AlreadyExists when name/arity is registered already.
+  Status Register(const std::string& name, uint32_t arity,
+                  BuiltinEntry entry);
   /// nullptr when not a builtin.
   const BuiltinFn* Find(const std::string& name, uint32_t arity) const;
+  const BuiltinEntry* Lookup(const std::string& name, uint32_t arity) const;
+
+  /// The registry as analysis, rewriting and the VM compiler see it:
+  /// callbacks, so those passes do not depend on the evaluation core.
+  std::function<bool(const std::string&, uint32_t)> IsBuiltin() const;
+  ModesLookup ModesOf() const;
 
   /// Loads =, \=, <, >, =<, >=, append/3, member/2, length/2, between/3,
   /// functor/3, arg/3, sort/2, write/1, writeln/1.
   void RegisterStandard();
 
  private:
-  std::unordered_map<std::string, BuiltinFn> fns_;  // key "name/arity"
+  // A leaf lock: held only for one map operation.
+  mutable Mutex mu_;
+  std::unordered_map<std::string, BuiltinEntry> entries_
+      CORAL_GUARDED_BY(mu_);  // key "name/arity"
 };
 
 /// Evaluates `t` under `env` as an arithmetic expression when it is one:

@@ -1,8 +1,8 @@
 // Copyright (c) 1993-style CORAL reproduction authors.
 // The Database facade: the single-user CORAL client (paper §2, Fig. 1).
 // Owns the term factory, base relations (in-memory by default; persistent
-// or computed relations can be registered), the builtin registry, and the
-// module manager. 'Consulting' text loads facts, modules, annotations and
+// relations can be registered), the builtin registry (which also holds
+// predicates defined in C++), and the module manager. 'Consulting' text loads facts, modules, annotations and
 // queries — conversion into main-memory relations with any specified
 // indices, exactly as §2 describes.
 
@@ -47,7 +47,7 @@ struct QueryResult {
 
 /// Thread-safety contract (docs/API.md has the per-method table):
 /// - Mutators — Consult / ConsultFile / InsertFact / DeleteFacts /
-///   ApplyUpdate / RegisterRelation / RegisterExternalRelation, and the
+///   ApplyUpdate / RegisterExternalRelation, and the
 ///   assert/retract builtins — are writer commits: they serialize on the
 ///   commit lock and may run while reader sessions evaluate against their
 ///   snapshots.
@@ -74,13 +74,9 @@ class Database {
   Relation* FindBaseRelation(const PredRef& pred) const;
   /// Existing or freshly created (empty HashRelation).
   Relation* GetOrCreateBaseRelation(const PredRef& pred);
-  /// Registers a custom Relation implementation (persistent relation,
-  /// C++-computed relation, ...; paper §7.2 extensibility). The database
-  /// takes ownership.
-  Status RegisterRelation(const PredRef& pred,
-                          std::unique_ptr<Relation> relation);
-  /// Registers a relation owned elsewhere (e.g. by a StorageManager); the
-  /// owner must outlive the database's use of it.
+  /// Registers a custom Relation implementation (paper §7.2
+  /// extensibility) owned elsewhere, e.g. a persistent relation of a
+  /// StorageManager; the owner must outlive the database's use of it.
   Status RegisterExternalRelation(const PredRef& pred, Relation* relation);
 
   /// Inserts a fact (rule with empty body; may be non-ground) into its

@@ -92,7 +92,12 @@ void BuiltinGoalSource::DoReset() {
 bool BuiltinGoalSource::Next(Trail* trail) {
   trail->UndoTo(base_);
   if (gen_ == nullptr) return false;
-  return gen_->Next(trail);
+  if (!lit_->negated) return gen_->Next(trail);
+  // `not b(...)` succeeds once, binding nothing, when b has no solution.
+  bool witness = gen_->Next(trail);
+  trail->UndoTo(base_);
+  gen_ = nullptr;
+  return !witness;
 }
 
 void IteratorGoalSource::DoReset() {

@@ -120,7 +120,7 @@ class NegationGoalSource : public GoalSource {
   Status status_;
 };
 
-/// A builtin literal.
+/// A builtin literal, or its negation.
 class BuiltinGoalSource : public GoalSource {
  public:
   BuiltinGoalSource(const Literal* lit, BindEnv* env, const BuiltinFn* fn,
@@ -142,8 +142,7 @@ class BuiltinGoalSource : public GoalSource {
   Status status_;
 };
 
-/// Adapts any externally-produced tuple stream (module calls, computed
-/// relations): `open` is invoked at Reset with the literal's current
+/// Adapts any externally-produced tuple stream (module calls): `open` is invoked at Reset with the literal's current
 /// argument bindings and returns a get-next-tuple iterator whose tuples
 /// are unified with the literal arguments.
 class IteratorGoalSource : public GoalSource {
@@ -169,8 +168,7 @@ class IteratorGoalSource : public GoalSource {
   Status status_;
 };
 
-/// Existence test over an arbitrary opener (negation of module calls /
-/// computed relations).
+/// Existence test over an arbitrary opener (negation of module calls).
 class NegatedIteratorGoalSource : public GoalSource {
  public:
   NegatedIteratorGoalSource(const Literal* lit, BindEnv* env,

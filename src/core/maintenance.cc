@@ -250,10 +250,7 @@ Status MaintenancePass::CompilePrograms() {
   vm::InternalSet internal;
   for (const auto& [p, rel] : inst_->internal_) internal.insert(p);
   vm::CompileEnv env;  // CanMaintain already refused module calls
-  const BuiltinRegistry* builtins = db_->builtins();
-  env.is_builtin = [builtins](const std::string& name, uint32_t arity) {
-    return builtins->Find(name, arity) != nullptr;
-  };
+  env.is_builtin = db_->builtins()->IsBuiltin();
   // `lead` (or null) becomes literal 0 in front of `body`; body_pos maps
   // each compiled level back to its position in the original rule.
   auto compile = [&](const Rule& rule, uint32_t ri, const Literal* lead,

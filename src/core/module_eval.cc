@@ -16,11 +16,6 @@ StatusOr<std::unique_ptr<GoalSource>> ExternalResolver::Make(
   PredRef pred = lit->pred_ref();
   if (const BuiltinFn* fn = db_->builtins()->Find(pred.sym->name,
                                                   pred.arity)) {
-    if (lit->negated) {
-      return Status::Unsupported(
-          "negation of builtin " + pred.ToString() +
-          " is not supported; use the complementary builtin");
-    }
     return std::unique_ptr<GoalSource>(
         new BuiltinGoalSource(lit, env, fn, db_->factory()));
   }
@@ -241,8 +236,8 @@ Status MaterializedInstance::Init() {
   // engine: Ordered Search (staging interception), @explain (derivation
   // recording), PSN (relies on immediate availability of facts derived
   // earlier in the same pass), inter-module calls (nested evaluation),
-  // write/writeln (output order), and predicates local to other modules
-  // (diagnosed sequentially).
+  // impure builtins (write/writeln output order, assert/retract commits),
+  // and predicates local to other modules (diagnosed sequentially).
   parallel_safe_ = !prog_->ordered_search && !decl_->explain &&
                    decl_->fixpoint != FixpointKind::kPredicateSemiNaive;
   for (const Rule& r : prog_->rules) {
@@ -250,9 +245,9 @@ Status MaterializedInstance::Init() {
     for (const Literal& lit : r.body) {
       PredRef pred = lit.pred_ref();
       if (internal_.count(pred)) continue;
-      const std::string& name = pred.sym->name;
-      if (db_->builtins()->Find(name, pred.arity) != nullptr) {
-        if (name == "write" || name == "writeln") parallel_safe_ = false;
+      if (const BuiltinEntry* builtin =
+              db_->builtins()->Lookup(pred.sym->name, pred.arity)) {
+        if (!builtin->modes.pure) parallel_safe_ = false;
         continue;
       }
       if (db_->modules()->Exports(pred) ||

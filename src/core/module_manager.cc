@@ -67,10 +67,8 @@ Status ModuleManager::AddModule(ModuleDecl decl, DiagnosticList* diags) {
   // leaves a previously registered version untouched.
   AnalyzerOptions opts;
   opts.strict = db_->strict();
-  const BuiltinRegistry* builtins = db_->builtins();
-  opts.is_builtin = [builtins](const std::string& name, uint32_t arity) {
-    return builtins->Find(name, arity) != nullptr;
-  };
+  opts.is_builtin = db_->builtins()->IsBuiltin();
+  opts.modes_of = db_->builtins()->ModesOf();
   DiagnosticList analysis = AnalyzeModule(decl, opts);
   const bool reject = analysis.ShouldReject(opts.strict);
   std::string reject_text = analysis.RejectionText(opts.strict);
@@ -203,10 +201,8 @@ StatusOr<ModuleManager::CompiledForm*> ModuleManager::CompileFormLocked(
   RewriteOptions ropts;
   ropts.auto_reorder = db_->auto_optimize();
   ropts.auto_index = db_->auto_optimize();
-  const BuiltinRegistry* builtins = db_->builtins();
-  ropts.is_builtin = [builtins](const std::string& name, uint32_t arity) {
-    return builtins->Find(name, arity) != nullptr;
-  };
+  ropts.is_builtin = db_->builtins()->IsBuiltin();
+  ropts.modes_of = db_->builtins()->ModesOf();
   // Real base-relation sizes at compile time feed the cardinality domain.
   Database* db = db_;
   ropts.base_card = [db](const PredRef& pred) {
@@ -216,10 +212,6 @@ StatusOr<ModuleManager::CompiledForm*> ModuleManager::CompileFormLocked(
     if (n == 0) return absint::Card::kFew;  // may still be loaded later
     if (n == 1) return absint::Card::kOne;
     return n <= 16 ? absint::Card::kFew : absint::Card::kMany;
-  };
-  ropts.is_computed = [db](const PredRef& pred) {
-    Relation* rel = db->FindBaseRelation(pred);
-    return rel != nullptr && rel->computed();
   };
   CORAL_ASSIGN_OR_RETURN(
       RewrittenProgram prog,

@@ -1,7 +1,7 @@
 // Copyright (c) 1993-style CORAL reproduction authors.
 // C_ScanDesc (paper §6.1): "essentially a cursor over a relation" for
 // imperative C++ code. Wraps any answer stream (base relation scan,
-// module call, computed relation). Per the paper's interface restriction,
+// module call, builtin). Per the paper's interface restriction,
 // non-ground answers are hidden by default: "variables cannot be returned
 // as answers (the presence of non-ground terms is hidden at the
 // interface)".

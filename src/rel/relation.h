@@ -64,9 +64,9 @@ class VectorIterator : public TupleIterator {
 };
 
 /// Abstract base of all relation implementations: in-memory hash and list
-/// relations, persistent relations, and relations computed by C++ code
-/// (paper §7.2). New implementations subclass this without touching the
-/// evaluation system.
+/// relations and persistent relations (paper §7.2). New implementations
+/// subclass this without touching the evaluation system; predicates
+/// computed by C++ code are builtins (src/core/builtins.h).
 class Relation {
  public:
   Relation(std::string name, uint32_t arity)
@@ -142,10 +142,6 @@ class Relation {
 
   /// True if a stored tuple equal to (or subsuming) `t` exists.
   virtual bool Contains(const Tuple* t) const = 0;
-
-  /// True for a relation computed by code (paper §7.2) rather than
-  /// stored: its binding needs are invisible to the optimizer.
-  virtual bool computed() const { return false; }
 
   /// Storage-specific admission check, consulted before Insert attempts
   /// anything (e.g. persistent relations only accept ground tuples of

@@ -61,7 +61,17 @@ StatusOr<AdornedProgram> AdornProgram(
   std::deque<std::pair<PredRef, std::string>> worklist;
   std::unordered_set<std::string> seen;  // "name/arity@ad"
 
-  auto enqueue = [&](const PredRef& p, const std::string& ad) -> PredRef {
+  auto enqueue = [&](const PredRef& p, std::string ad) -> PredRef {
+    // A value bound at an aggregate result selects among the groups and
+    // restricts no rule: the position is adorned free, and the bound value
+    // filters the answers.
+    if (auto it = defs.find(p); it != defs.end()) {
+      for (const Rule* r : it->second) {
+        for (size_t i = 0; i < ad.size(); ++i) {
+          if (IsAggMarkerArg(r->head.args[i])) ad[i] = 'f';
+        }
+      }
+    }
     Symbol sym = factory->symbols().Intern(AdornedName(p, ad));
     PredRef ap{sym, p.arity};
     std::string key = p.ToString() + "@" + ad;
@@ -88,9 +98,7 @@ StatusOr<AdornedProgram> AdornProgram(
       // Variables bound by the head's bound arguments.
       std::set<uint32_t> bound;
       for (uint32_t i = 0; i < ad.size(); ++i) {
-        if (ad[i] == 'b' && !IsAggMarkerArg(r.head.args[i])) {
-          CollectVars(r.head.args[i], &bound);
-        }
+        if (ad[i] == 'b') CollectVars(r.head.args[i], &bound);
       }
       const std::set<uint32_t> head_bound = bound;
 

@@ -47,8 +47,9 @@ bool IsAggMarkerArg(const Arg* arg);
 /// propagate bindings as fully-evaluated relations. Occurrences of
 /// predicates in `restricted` are adorned from the enclosing rule's
 /// head bindings only, never from body literals to their left, so their
-/// magic never depends on what the body computes. Aggregation marker
-/// positions in heads are forced free.
+/// magic never depends on what the body computes. A position that holds
+/// an aggregate result in some head is adorned free, in the query form
+/// and in body literals alike.
 StatusOr<AdornedProgram> AdornProgram(
     const std::vector<Rule>& rules,
     const std::unordered_set<PredRef, PredRefHash>& derived,

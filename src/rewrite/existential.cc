@@ -1,5 +1,7 @@
 #include "src/rewrite/existential.h"
 
+#include <algorithm>
+
 namespace coral {
 
 void CollectVars(const Arg* term, std::set<uint32_t>* out) {
@@ -37,6 +39,25 @@ bool TermBound(const Arg* term, const std::set<uint32_t>& bound) {
     if (bound.count(v) == 0) return false;
   }
   return true;
+}
+
+const BindingModes* ModesOf(const ModesLookup& modes_of, const Literal& lit) {
+  if (modes_of == nullptr || lit.negated || IsOperatorSymbol(lit.pred)) {
+    return nullptr;
+  }
+  return modes_of(lit.pred->name, static_cast<uint32_t>(lit.args.size()));
+}
+
+bool ModeSatisfied(const BindingModes& modes, const Literal& lit,
+                   const std::set<uint32_t>& bound) {
+  if (!modes.in_sets.has_value()) return false;
+  return std::any_of(
+      modes.in_sets->begin(), modes.in_sets->end(),
+      [&](const std::vector<uint32_t>& ins) {
+        return std::all_of(ins.begin(), ins.end(), [&](uint32_t i) {
+          return i < lit.args.size() && TermBound(lit.args[i], bound);
+        });
+      });
 }
 
 std::vector<std::set<uint32_t>> NeededAfter(const Rule& rule) {

@@ -51,30 +51,18 @@ PredSet DependencyClosure(
 /// Why an aggregate body cannot be restricted to the bindings of the
 /// aggregate's head in `adorned` ("" when it can). Following LDL++'s
 /// push-selection-into-grouping rule, a restricted body keeps each bound
-/// group whole only when
-///   - every bound head position of an aggregate rule that reads a
-///     restricted predicate is a grouping position (a bound aggregate
-///     result selects among groups, it does not name one), and
-///   - every @aggregate_selection on a restricted predicate groups by
-///     each of its bound columns (otherwise the selection compares tuples
-///     across bindings, and restriction changes which ones it keeps).
+/// group whole only when every @aggregate_selection on a restricted
+/// predicate groups by each of its bound columns (otherwise the selection
+/// compares tuples across bindings, and restriction changes which ones it
+/// keeps). Bound head positions of aggregate rules are grouping
+/// positions: AdornProgram frees aggregate-result positions.
 std::string RestrictionBlocker(const AdornedProgram& adorned,
                                const ModuleDecl& module) {
   for (const Rule& r : adorned.rules) {
-    const AdornInfo& head = adorned.adorned.at(r.head.pred_ref());
-    bool agg = IsAggregateRule(r);
     for (const Literal& lit : r.body) {
       auto it = adorned.adorned.find(lit.pred_ref());
       if (it == adorned.adorned.end() || !it->second.restricted) continue;
       const AdornInfo& body = it->second;
-      if (agg) {
-        for (uint32_t i : BoundPositions(head.adornment)) {
-          if (IsAggMarkerArg(r.head.args[i])) {
-            return "aggregate result of " + head.original.ToString() +
-                   " is bound";
-          }
-        }
-      }
       for (const AggSelDecl& sel : module.agg_selections) {
         if (sel.pred != body.original.sym ||
             sel.pattern.size() != body.original.arity) {
@@ -101,15 +89,19 @@ std::string RestrictionBlocker(const AdornedProgram& adorned,
 /// Join-order selection (paper §4.2): greedily schedule the most-bound
 /// ready literal next, breaking ties toward the smaller relation using
 /// the abstract cardinality classes from src/analysis/absint.h. Negated
-/// literals, operators and builtins are "ready" only when all their
-/// variables are bound (they run as filters; deferring a binding builtin
-/// is mode-safe because later scheduling only adds bindings). Remaining
-/// ties keep source order, and a stuck state falls back to the first
-/// unscheduled literal, so the pass never loses literals and a stuck
-/// suffix keeps its source order. Returns true when the order changed.
+/// literals and operators are "ready" only when all their variables are
+/// bound; a pure builtin is ready once one of its binding modes is
+/// satisfied, an impure one (or one without modes) only when all its
+/// variables are bound. A ready literal with all variables bound is a
+/// test and runs at once; a ready generator (its output size is unknown)
+/// runs only once no relation literal is left, never ahead of the
+/// literals that bind its inputs (deferring a builtin is mode-safe
+/// because later scheduling only adds bindings). Remaining ties keep
+/// source order, and a stuck state falls back to the first unscheduled
+/// literal, so the pass never loses literals and a stuck suffix keeps its
+/// source order. Returns true when the order changed.
 bool ReorderRuleBody(Rule* rule, const absint::AnalysisResult& facts,
-                     const std::function<bool(const std::string&, uint32_t)>&
-                         is_builtin) {
+                     const RewriteOptions& opts) {
   if (rule->body.size() < 3) return false;  // nothing to gain
   std::set<uint32_t> bound;
   // Head arguments contribute no bindings in bottom-up evaluation; the
@@ -138,9 +130,16 @@ bool ReorderRuleBody(Rule* rule, const absint::AnalysisResult& facts,
   };
   auto is_filter = [&](const Literal& lit) {
     return lit.negated || IsOperatorSymbol(lit.pred) ||
-           (is_builtin != nullptr &&
-            is_builtin(lit.pred->name,
-                       static_cast<uint32_t>(lit.args.size())));
+           (opts.is_builtin != nullptr &&
+            opts.is_builtin(lit.pred->name,
+                            static_cast<uint32_t>(lit.args.size())));
+  };
+  auto ready = [&](const Literal& lit) {
+    const BindingModes* modes = ModesOf(opts.modes_of, lit);
+    if (modes != nullptr && modes->pure) {
+      return ModeSatisfied(*modes, lit, bound);
+    }
+    return vars_bound(lit);
   };
   // Smaller cardinality class scores higher; bound-arg count dominates.
   auto selectivity = [&](const Literal& lit) {
@@ -157,16 +156,17 @@ bool ReorderRuleBody(Rule* rule, const absint::AnalysisResult& facts,
   while (!rest.empty()) {
     int best = -1;
     int best_score = -1;
+    int generator = -1;  // first ready builtin that still binds outputs
     for (size_t i = 0; i < rest.size(); ++i) {
       const Literal& lit = rest[i];
       if (is_filter(lit)) {
-        // Safety: schedule only when fully bound; then run immediately
-        // (filters are free).
-        if (vars_bound(lit)) {
+        if (!ready(lit)) continue;
+        if (vars_bound(lit)) {  // a test: free, so run it at once
           best = static_cast<int>(i);
           best_score = 1 << 20;
           break;
         }
+        if (generator < 0) generator = static_cast<int>(i);
         continue;
       }
       int score = bound_args(lit) * 8 + selectivity(lit);
@@ -176,9 +176,10 @@ bool ReorderRuleBody(Rule* rule, const absint::AnalysisResult& facts,
       }
     }
     if (best < 0) {
-      // Only unbound negations/operators remain out of order; take the
-      // first to preserve semantics as written.
-      best = 0;
+      // No relation literal left: a ready generator runs next; failing
+      // that, only unready filters remain, and the first keeps the
+      // semantics as written.
+      best = std::max(generator, 0);
     }
     changed = changed || best != 0;
     out.push_back(rest[static_cast<size_t>(best)]);
@@ -232,22 +233,21 @@ void OptimizeProgram(const ModuleDecl& module, const RewriteOptions& opts,
   // must stay immediately before the literals they protect.
   bool reorder_on = (module.reorder_joins || opts.auto_reorder) &&
                     !module.no_reorder_joins && !module.ordered_search;
-  // A rule over a C++ computed relation keeps its written order: the
-  // relation's binding needs are unknown, and moving it ahead of the
-  // literals that bind its inputs makes it fail.
+  // A rule calling a C++ predicate keeps its written order: its binding
+  // modes are unknown, and moving it ahead of the literals that bind its
+  // inputs makes it fail.
+  auto modes_unknown = [&](const Literal& l) {
+    const BindingModes* modes = ModesOf(opts.modes_of, l);
+    return modes != nullptr && !modes->in_sets.has_value();
+  };
   std::vector<size_t> reordered;
   std::vector<size_t> kept;
   if (reorder_on) {
     for (size_t i = 0; i < prog->rules.size(); ++i) {
       Rule& r = prog->rules[i];
-      bool computed =
-          opts.is_computed != nullptr &&
-          std::any_of(r.body.begin(), r.body.end(), [&](const Literal& l) {
-            return opts.is_computed(l.pred_ref());
-          });
-      if (computed) {
+      if (std::any_of(r.body.begin(), r.body.end(), modes_unknown)) {
         kept.push_back(i);
-      } else if (ReorderRuleBody(&r, facts, opts.is_builtin)) {
+      } else if (ReorderRuleBody(&r, facts, opts)) {
         reordered.push_back(i);
       }
     }
@@ -386,16 +386,23 @@ StatusOr<RewrittenProgram> MagicRewrite(const ModuleDecl& module,
   } else {
     CORAL_ASSIGN_OR_RETURN(magic, SupplementaryMagic(adorned, factory));
   }
+  // A magic rule whose body is its own head (a recursive literal first in
+  // its body, passed the head's bindings unchanged) derives nothing.
+  std::erase_if(magic.rules, [](const Rule& r) {
+    return r.body.size() == 1 && !r.body[0].negated &&
+           r.body[0].pred == r.head.pred && r.body[0].args == r.head.args;
+  });
 
   RewrittenProgram prog;
   prog.ordered_search = module.ordered_search;
-  prog.bound_positions = BoundPositions(form.adornment);
+  // The query's adornment, aggregate-result positions freed.
+  prog.answer_adornment = adorned.adorned.at(adorned.query_pred).adornment;
+  prog.bound_positions = BoundPositions(prog.answer_adornment);
   prog.rules = std::move(magic.rules);
   prog.magic_of = std::move(magic.magic_of);
   prog.seed_pred = magic.seed_pred;
   prog.uses_magic = true;
   prog.answer_pred = adorned.query_pred;
-  prog.answer_adornment = form.adornment;
   for (const auto& [apred, info] : adorned.adorned) {
     prog.original_of.emplace(apred, info.original);
   }

@@ -19,6 +19,7 @@
 #include "src/data/term_factory.h"
 #include "src/lang/ast.h"
 #include "src/rewrite/depgraph.h"
+#include "src/rewrite/existential.h"
 #include "src/rewrite/seminaive.h"
 #include "src/util/status.h"
 
@@ -41,9 +42,11 @@ struct RewriteOptions {
   std::function<bool(const std::string& name, uint32_t arity)> is_builtin;
   /// Cardinality class of a base relation at compile time; null = kMany.
   std::function<absint::Card(const PredRef&)> base_card;
-  /// True for a relation computed by C++ code, whose binding modes the
-  /// optimizer cannot see: rules reading one keep their written order.
-  std::function<bool(const PredRef&)> is_computed;
+  /// Binding modes of a builtin (same contract as AnalyzerOptions): the
+  /// reorderer schedules a builtin once one of its modes is satisfied,
+  /// and keeps a rule calling one with unknown modes in written order.
+  /// Null: builtins wait until all their variables are bound.
+  ModesLookup modes_of;
 };
 
 /// One optimizer-selected argument index: the rewritten-program predicate

@@ -109,10 +109,7 @@ class AbsIntTest : public ::testing::Test {
     if (!prog.ok() || prog->modules.empty()) return absint::AnalysisResult();
     const ModuleDecl& mod = prog->modules[0];
     DepGraph graph = DepGraph::Build(mod.rules);
-    const BuiltinRegistry* builtins = db_.builtins();
-    ai.is_builtin = [builtins](const std::string& name, uint32_t arity) {
-      return builtins->Find(name, arity) != nullptr;
-    };
+    ai.is_builtin = db_.builtins()->IsBuiltin();
     return absint::AnalyzeRules(mod.rules, graph, ai);
   }
 
@@ -285,10 +282,8 @@ class AbsIntDiagTest : public ::testing::Test {
     if (!prog.ok()) return DiagnosticList();
     AnalyzerOptions opts;
     opts.strict = strict;
-    const BuiltinRegistry* builtins = db_.builtins();
-    opts.is_builtin = [builtins](const std::string& name, uint32_t arity) {
-      return builtins->Find(name, arity) != nullptr;
-    };
+    opts.is_builtin = db_.builtins()->IsBuiltin();
+    opts.modes_of = db_.builtins()->ModesOf();
     return AnalyzeProgram(*prog, opts);
   }
 

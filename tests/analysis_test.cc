@@ -25,10 +25,8 @@ class AnalysisTest : public ::testing::Test {
     if (!prog.ok()) return DiagnosticList();
     AnalyzerOptions opts;
     opts.strict = strict;
-    const BuiltinRegistry* builtins = db_.builtins();
-    opts.is_builtin = [builtins](const std::string& name, uint32_t arity) {
-      return builtins->Find(name, arity) != nullptr;
-    };
+    opts.is_builtin = db_.builtins()->IsBuiltin();
+    opts.modes_of = db_.builtins()->ModesOf();
     return AnalyzeProgram(*prog, opts);
   }
 

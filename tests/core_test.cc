@@ -11,6 +11,8 @@
 #include <string>
 
 #include "src/core/database.h"
+#include "src/core/module_manager.h"
+#include "src/core/session.h"
 #include "src/lang/parser.h"
 
 namespace coral {
@@ -501,6 +503,33 @@ TEST_F(CoreTest, ShortestPathFigure3) {
   EXPECT_EQ(rows[0], "P = [edge(b,a),edge(a,b)], C = 2");
 }
 
+TEST_F(CoreTest, ShortestPathFigure3UnderBothMagicRewriters) {
+  // Neither rewriter lists the magic rule m_p@bfff(X) :- m_p@bfff(X).
+  // (the recursive p rule passes X unchanged to its first literal), and
+  // both give ShortestPathFigure3's answers.
+  Load(R"(
+    edge(a, b, 1). edge(b, c, 2). edge(a, c, 5).
+    edge(c, a, 1). edge(b, a, 1).
+  )");
+  std::string plain_magic = kShortestPath;
+  plain_magic.insert(plain_magic.find("@aggregate_selection"), "@magic.\n");
+  for (const std::string& program : {std::string(kShortestPath),
+                                     plain_magic}) {
+    Load(program);
+    auto listing = db.modules()->RewrittenListing("s_p", "s_p", "bfff");
+    ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+    EXPECT_NE(listing->find("m_p@bfff(X) :- m_s_p@bfff(X)."),
+              std::string::npos)
+        << *listing;
+    EXPECT_EQ(listing->find("m_p@bfff(X) :- m_p@bfff(X)."), std::string::npos)
+        << *listing;
+    EXPECT_EQ(Ask("s_p(a, c, P, C)"),
+              std::vector<std::string>{"P = [edge(b,c),edge(a,b)], C = 3"});
+    EXPECT_EQ(Ask("s_p(a, a, P, C)"),
+              std::vector<std::string>{"P = [edge(b,a),edge(a,b)], C = 2"});
+  }
+}
+
 TEST_F(CoreTest, ShortestPathLargerGraph) {
   Load(kShortestPath);
   // Grid-ish graph with cycles.
@@ -516,6 +545,31 @@ TEST_F(CoreTest, ShortestPathLargerGraph) {
   auto rows = Ask("s_p(v0, v5, P, C)");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_NE(rows[0].find("C = 10"), std::string::npos);
+}
+
+TEST_F(CoreTest, ReordererRunsBuiltinOnceItsModeIsSatisfied) {
+  // length(L, N) is ready once L is bound (mode length(+,-)); the
+  // comparison waits for N. Without modes neither looked ready, and the
+  // reorderer kept `N > 1` first, which answered nothing.
+  Load(R"(
+    p(1, [a, b]). p(2, [c]). p(3, [d, e, f]).
+    module m. export q(f).
+    q(X) :- p(X, L), N > 1, length(L, N).
+    end_module.
+  )");
+  EXPECT_EQ(Ask("q(X)"), (std::vector<std::string>{"X = 1", "X = 3"}));
+}
+
+TEST_F(CoreTest, FactsForBuiltinsAreRefused) {
+  // append/3 is computed by code: a stored fact for it would be visible
+  // to no query.
+  auto consulted = db.Consult("append(1, 2, 3).");
+  EXPECT_EQ(consulted.status().code(), StatusCode::kUnsupported);
+  Session s(&db);
+  auto applied = s.ApplyUpdate("+append(1, 2, 3).\n");
+  EXPECT_EQ(applied.status().code(), StatusCode::kUnsupported);
+  EXPECT_EQ(db.FindBaseRelation({db.factory()->symbols().Intern("append"), 3}),
+            nullptr);
 }
 
 // ---------------------------------------------------------------------

@@ -530,7 +530,9 @@ void RunAutoOptimizeDifferential(uint64_t seed, bool with_negation) {
 // consumer `argd(X, Y) :- aggd(X, V), d(X, Y), Y = V.` queried as bf:
 // full adornment feeds d's magic through aggd, so the rewriter restricts
 // d to the bound group instead. `restricted` counts the forms whose plan
-// took that path.
+// took that path. The aggregate result is also queried bound, directly
+// (aggd(fb)) and through a body literal (`byfoldd(V, X) :- aggd(X, V).`
+// queried as bf): both must return the groups whose fold is V.
 void RunAggregateDifferential(uint64_t seed, int threads,
                               int* restricted) {
   Lcg rng(seed);
@@ -565,7 +567,11 @@ void RunAggregateDifferential(uint64_t seed, int threads,
     fn[d] = static_cast<int>(rng.Next(4));
     agg_rules += "agg" + std::to_string(d) + "(X, " + kFns[fn[d]] +
                  "(<Y>)) :- " + PredName(kBase + d) + "(X, Y).\n";
-    agg_exports += "export agg" + std::to_string(d) + "(bf).\n";
+    agg_exports += "export agg" + std::to_string(d) + "(bf), agg" +
+                   std::to_string(d) + "(fb).\n";
+    agg_rules += "byfold" + std::to_string(d) + "(V, X) :- agg" +
+                 std::to_string(d) + "(X, V).\n";
+    agg_exports += "export byfold" + std::to_string(d) + "(bf).\n";
     agg_rules += "arg" + std::to_string(d) + "(X, Y) :- agg" +
                  std::to_string(d) + "(X, V), " + PredName(kBase + d) +
                  "(X, Y), Y = V.\n";
@@ -609,6 +615,29 @@ void RunAggregateDifferential(uint64_t seed, int threads,
     auto all = db.EvalQuery("agg" + std::to_string(d) + "(X, V)");
     ASSERT_TRUE(all.ok());
     EXPECT_EQ(all->rows.size(), groups.size()) << "seed " << seed;
+
+    // Bound results: every fold value, and one no group folds to.
+    std::map<int64_t, std::vector<std::string>> keys_of;
+    int64_t unused = 0;
+    for (const auto& [key, want] : folds) {
+      keys_of[want].push_back("X = " + std::to_string(key));
+      unused = std::max(unused, want + 1);
+    }
+    keys_of[unused];
+    for (auto& [value, want] : keys_of) {
+      std::sort(want.begin(), want.end());
+      std::string v = std::to_string(value);
+      for (const std::string& query :
+           {"agg" + std::to_string(d) + "(X, " + v + ")",
+            "byfold" + std::to_string(d) + "(" + v + ", X)"}) {
+        auto res = db.EvalQuery(query);
+        ASSERT_TRUE(res.ok()) << res.status().ToString() << "\n" << text;
+        std::vector<std::string> got;
+        for (const AnswerRow& row : res->rows) got.push_back(row.ToString());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << query << " seed " << seed << "\n" << text;
+      }
+    }
 
     // The consumer: Y is a d-successor of the key equal to its fold.
     for (int key = 0; key < kDomain; ++key) {

@@ -16,7 +16,7 @@
 #include "src/core/database.h"
 #include "src/core/session.h"
 #include "src/core/update.h"
-#include "src/cxx/computed_relation.h"
+#include "src/cxx/coral.h"
 
 namespace coral {
 namespace {
@@ -102,15 +102,14 @@ class MaintenanceTest : public ::testing::Test {
     return rows;
   }
 
-  /// Registers sq/1, a relation defined by C++ code: inserting into it is
-  /// Unsupported, which makes any batch that writes it fail validation.
+  /// Registers sq/1, a predicate defined by C++ code: inserting into it
+  /// is Unsupported, which makes any batch that writes it fail
+  /// validation.
   void RegisterSquares() {
-    PredRef sq{db.factory()->symbols().Intern("sq"), 1};
-    Status st = db.RegisterRelation(
-        sq, std::make_unique<ComputedRelation>(
-                "sq", 1, db.factory(),
-                [](std::span<const TermRef>, TermFactory*,
-                   std::vector<const Tuple*>*) { return Status::OK(); }));
+    Status st = Coral(&db).RegisterPredicate(
+        "sq", 1,
+        [](std::span<const TermRef>, TermFactory*,
+           std::vector<const Tuple*>*) { return Status::OK(); });
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
 

@@ -401,6 +401,11 @@ TEST_F(RewriteTest, RewriteRestrictsAggregateBodyThroughGrouping) {
           EXPECT_NE(lit.pred->name.rfind("s_p_length", 0), 0u)
               << "magic rule reads the aggregate: " << r.ToString();
         }
+        // The recursive p rule passes X unchanged to its first literal;
+        // that magic rule, m_p@bfff(X) :- m_p@bfff(X)., derives nothing.
+        EXPECT_FALSE(r.body.size() == 1 && r.body[0].pred == r.head.pred &&
+                     r.body[0].args == r.head.args)
+            << "tautological magic rule: " << r.ToString();
       }
     }
     EXPECT_TRUE(guarded_p) << prog->listing;
@@ -439,10 +444,30 @@ TEST_F(RewriteTest, RewriteKeepsProtectionWhenSelectionCrossesBindings) {
                 "by bound column 1)"});
 }
 
-TEST_F(RewriteTest, RewriteKeepsProtectionWhenAggregateResultIsBound) {
-  // top(fb) reaches cnt with only its count position bound; a bound
-  // aggregate result names no group, so e must stay fully evaluated.
+TEST_F(RewriteTest, RewriteFreesBoundAggregateResult) {
+  // A bound aggregate result names no group: cnt(fb) is adorned cnt@ff,
+  // and the bound count filters the answers. The magic guard never holds
+  // the aggregation marker.
   ModuleDecl m = ParseModule(R"(
+    module m.
+    export cnt(fb).
+    cnt(X, count(<Y>)) :- e(X, Y).
+    end_module.
+  )");
+  QueryFormDecl form{f.symbols().Intern("cnt"), "fb"};
+  auto prog = RewriteModule(m, form, &f);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  EXPECT_EQ(prog->answer_pred.sym->name, "cnt@ff");
+  EXPECT_EQ(prog->answer_adornment, "ff");
+  EXPECT_TRUE(prog->bound_positions.empty());
+  EXPECT_EQ(prog->seed_pred.arity, 0u);
+  EXPECT_NE(prog->listing.find("m_cnt@ff,"), std::string::npos)
+      << prog->listing;
+
+  // top(fb) reaches cnt with only its count position bound, so cnt is
+  // adorned ff; e, read by the aggregate, is restricted to cnt's (empty)
+  // head bindings instead of being evaluated unadorned.
+  m = ParseModule(R"(
     module m.
     export top(fb).
     top(X, N) :- cnt(X, N), e(Z, W).
@@ -450,13 +475,14 @@ TEST_F(RewriteTest, RewriteKeepsProtectionWhenAggregateResultIsBound) {
     e(X, Y) :- b(X, Y).
     end_module.
   )");
-  QueryFormDecl form{f.symbols().Intern("top"), "fb"};
-  auto prog = RewriteModule(m, form, &f);
-  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-  EXPECT_TRUE(HasRuleFor(*prog, "e")) << prog->listing;
-  EXPECT_EQ(prog->magic_notes,
-            std::vector<std::string>{
-                "unadorned: e/2 (aggregate result of cnt/2 is bound)"});
+  QueryFormDecl top_form{f.symbols().Intern("top"), "fb"};
+  auto top = RewriteModule(m, top_form, &f);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_FALSE(HasRuleFor(*top, "e")) << top->listing;
+  EXPECT_TRUE(HasRuleFor(*top, "cnt@ff")) << top->listing;
+  EXPECT_EQ(top->magic_notes,
+            (std::vector<std::string>{"restricted by grouping: e/2",
+                                      "unadorned: (none)"}));
 }
 
 TEST_F(RewriteTest, RewriteUnstratifiedWithoutOrderedSearchFails) {

@@ -46,15 +46,9 @@ TEST(VmDisassemblyGolden, TransitiveClosure) {
     end_module.
   )");
   ASSERT_TRUE(st.ok()) << st.status().ToString();
+  // No m_path@bf(X) :- m_path@bf(X). magic rule: its body is its head.
   EXPECT_EQ(BytecodeSection(&db, "tc", "path", "bf"),
             "scc 0 version 0 delta=0\n"
-            "coralbc 1\n"
-            "rule 1 head m_path@bf/1 regs 3\n"
-            "  SCAN_DELTA lit=0 rel=m_path@bf/1 window=delta\n"
-            "  UNIFY_ARG col=0 load r0\n"
-            "  PROJECT r0\n"
-            "  INSERT m_path@bf/1\n"
-            "scc 1 version 0 delta=0\n"
             "coralbc 1\n"
             "rule 0 head path@bf/2 regs 2\n"
             "  SCAN_DELTA lit=0 rel=m_path@bf/1 window=delta\n"
@@ -64,9 +58,9 @@ TEST(VmDisassemblyGolden, TransitiveClosure) {
             "  UNIFY_ARG col=1 load r1\n"
             "  PROJECT r0 r1\n"
             "  INSERT path@bf/2\n"
-            "scc 1 version 1 delta=0\n"
+            "scc 0 version 1 delta=0\n"
             "coralbc 1\n"
-            "rule 2 head path@bf/2 regs 3\n"
+            "rule 1 head path@bf/2 regs 3\n"
             "  SCAN_DELTA lit=0 rel=m_path@bf/1 window=delta\n"
             "  UNIFY_ARG col=0 load r0\n"
             "  PROBE_INDEX lit=1 rel=path@bf/2 window=old\n"
@@ -77,9 +71,9 @@ TEST(VmDisassemblyGolden, TransitiveClosure) {
             "  UNIFY_ARG col=1 load r1\n"
             "  PROJECT r0 r1\n"
             "  INSERT path@bf/2\n"
-            "scc 1 version 2 delta=1\n"
+            "scc 0 version 2 delta=1\n"
             "coralbc 1\n"
-            "rule 2 head path@bf/2 regs 3\n"
+            "rule 1 head path@bf/2 regs 3\n"
             "  SCAN_FULL lit=0 rel=m_path@bf/1 window=full\n"
             "  UNIFY_ARG col=0 load r0\n"
             "  PROBE_INDEX lit=1 rel=path@bf/2 window=delta\n"

@@ -17,7 +17,6 @@
 // warnings are errors and exit 2.
 
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -57,8 +56,8 @@ std::string Render(const std::string& file, const coral::Diagnostic& d) {
 /// surfaced here.
 void AppendBytecodeFindings(
     const coral::Program& prog, coral::TermFactory* factory,
-    const std::function<bool(const std::string&, uint32_t)>& is_builtin,
-    coral::DiagnosticList* out) {
+    const coral::AnalyzerOptions& opts, coral::DiagnosticList* out) {
+  const auto& is_builtin = opts.is_builtin;
   using coral::PredRef;
   // Cross-module visibility within this file: exported or local
   // predicates of *any* module here are module calls, not base scans.
@@ -79,6 +78,7 @@ void AppendBytecodeFindings(
     for (const coral::QueryFormDecl& form : m.exports) {
       coral::RewriteOptions ropts;
       ropts.is_builtin = is_builtin;
+      ropts.modes_of = opts.modes_of;
       auto rewritten = RewriteModule(m, form, factory, ropts);
       if (!rewritten.ok()) continue;  // reported by the analyzer already
       coral::vm::CompileEnv cenv;
@@ -179,10 +179,8 @@ int main(int argc, char** argv) {
   coral::Database db;
   coral::AnalyzerOptions opts;
   opts.strict = strict;
-  const coral::BuiltinRegistry* builtins = db.builtins();
-  opts.is_builtin = [builtins](const std::string& name, uint32_t arity) {
-    return builtins->Find(name, arity) != nullptr;
-  };
+  opts.is_builtin = db.builtins()->IsBuiltin();
+  opts.modes_of = db.builtins()->ModesOf();
 
   size_t errors = 0;
   size_t warnings = 0;
@@ -210,8 +208,7 @@ int main(int argc, char** argv) {
         diags.Add(std::move(d));
       } else {
         diags = AnalyzeProgram(*prog, opts);
-        AppendBytecodeFindings(*prog, db.factory(), opts.is_builtin,
-                               &diags);
+        AppendBytecodeFindings(*prog, db.factory(), opts, &diags);
       }
     }
     diags.Normalize();
