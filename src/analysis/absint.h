@@ -34,8 +34,9 @@ struct AbsIntOptions {
   /// the rewriter supplies real relation sizes here. Null: kMany.
   std::function<Card(const PredRef&)> base_card;
 
-  /// Call-side bound argument positions seeding the analysis: export
-  /// adornments at lint time, the compiled query form's bound positions at
+  /// Call-side bound argument positions seeding the analysis: the
+  /// rewritten answer predicate's adornment, set by coral_lint and by the
+  /// bytecode audit of a compiled form. OptimizeProgram sets none at
   /// rewrite time. Propagated to non-exported predicates by a left-to-
   /// right boundness fixpoint before the main analysis runs.
   std::unordered_map<PredRef, std::vector<bool>, PredRefHash> seeds;

@@ -150,6 +150,68 @@ ThreadPool* Database::thread_pool(size_t threads) {
   return pool_.get();
 }
 
+std::string Resolution::ToString() const {
+  static constexpr const char* kWhat[] = {
+      "a builtin", "exported by module ", "a base relation",
+      "local to module ", "undefined"};
+  return kWhat[static_cast<int>(kind)] + module;
+}
+
+Resolution Database::Resolve(const PredRef& pred) const {
+  Resolution r;
+  if ((r.builtin = builtins_.Lookup(pred.sym->name, pred.arity))) {
+    r.kind = Definer::kBuiltin;
+    return r;
+  }
+  r = modules_->Claim(pred);  // kExport, kLocal or kUndefined
+  if (r.kind == Definer::kExport) return r;
+  if ((r.base = FindBaseRelation(pred))) r.kind = Definer::kBase;
+  return r;
+}
+
+Relation* Database::StoredRelation(const PredRef& pred) {
+  Resolution r = Resolve(pred);
+  if (r.kind == Definer::kBase) return r.base;
+  return r.kind == Definer::kUndefined ? GetOrCreateBaseRelation(pred)
+                                       : nullptr;
+}
+
+StatusOr<std::unique_ptr<GoalSource>> Database::OpenGoal(const Literal* lit,
+                                                         BindEnv* env) {
+  PredRef pred = lit->pred_ref();
+  Resolution r = Resolve(pred);
+  if (r.kind == Definer::kBuiltin) {
+    return std::unique_ptr<GoalSource>(
+        new BuiltinGoalSource(lit, env, &r.builtin->fn, factory()));
+  }
+  if (r.kind == Definer::kLocal) {
+    return Status::FailedPrecondition("predicate " + pred.ToString() +
+                                      " is local to module " + r.module +
+                                      " and not exported");
+  }
+  if (r.kind == Definer::kExport) {
+    ModuleManager* mm = modules();
+    IteratorGoalSource::Opener opener =
+        [mm, pred](std::span<const TermRef> args) {
+          return mm->OpenQuery(pred, args);
+        };
+    if (lit->negated) {
+      return std::unique_ptr<GoalSource>(
+          new NegatedIteratorGoalSource(lit, env, std::move(opener)));
+    }
+    return std::unique_ptr<GoalSource>(
+        new IteratorGoalSource(lit, env, std::move(opener)));
+  }
+  // An undefined predicate reads as an empty relation, created so later
+  // inserts are visible (the deductive-database convention).
+  Relation* rel = r.base != nullptr ? r.base : GetOrCreateBaseRelation(pred);
+  if (lit->negated) {
+    return std::unique_ptr<GoalSource>(new NegationGoalSource(lit, env, rel));
+  }
+  return std::unique_ptr<GoalSource>(
+      new RelationGoalSource(lit, env, rel, 0, kMaxMark));
+}
+
 Relation* Database::FindBaseRelation(const PredRef& pred) const {
   MutexLock lock(&base_mu_);
   auto it = base_.find(pred);
@@ -179,6 +241,11 @@ Status Database::RegisterExternalRelation(const PredRef& pred,
                                    pred.ToString());
   }
   WriterLock commit(&commit_mu_);
+  Resolution r = Resolve(pred);
+  if (r.kind == Definer::kBuiltin || r.kind == Definer::kExport) {
+    return Status::AlreadyExists("predicate " + pred.ToString() + " is " +
+                                 r.ToString());
+  }
   snapshot_stale_.store(true, std::memory_order_release);
   // Non-MemoryRelation registrations (persistent relations) have no
   // snapshot protocol; concurrent sessions read them live, which
@@ -227,13 +294,14 @@ StatusOr<UpdateResult> Database::CommitLocked(const UpdateBatch& batch) {
   // Validate the whole batch before the first mutation, so a rejected
   // batch changes nothing; each fact's relation and tuple are resolved
   // once. A relation that does not exist yet will be a fresh
-  // HashRelation, which accepts any tuple.
+  // HashRelation, which accepts any tuple. A builtin or an export takes
+  // no facts: no query would read them.
   struct Resolved {
     PredRef pred;
     Relation* rel;  // nullptr: no such relation yet
     const Tuple* tuple;
   };
-  auto resolve = [this](const std::vector<Rule>& facts,
+  auto resolve = [this](const std::vector<Rule>& facts, bool inserts,
                         std::vector<Resolved>* out) -> Status {
     out->reserve(facts.size());
     for (const Rule& fact : facts) {
@@ -241,23 +309,23 @@ StatusOr<UpdateResult> Database::CommitLocked(const UpdateBatch& batch) {
         return Status::InvalidArgument("not a fact: " + fact.ToString());
       }
       PredRef pred = fact.head.pred_ref();
-      out->push_back({pred, FindBaseRelation(pred),
-                      factory_->MakeTuple(fact.head.args)});
+      Resolution r = Resolve(pred);
+      if (inserts && (r.kind == Definer::kBuiltin ||
+                      r.kind == Definer::kExport)) {
+        return Status::Unsupported("predicate " + pred.ToString() + " is " +
+                                   r.ToString() + " and not updatable");
+      }
+      const Tuple* tuple = factory_->MakeTuple(fact.head.args);
+      if (inserts && r.base != nullptr) {
+        CORAL_RETURN_IF_ERROR(r.base->ValidateInsert(tuple));
+      }
+      out->push_back({pred, r.base, tuple});
     }
     return Status::OK();
   };
   std::vector<Resolved> deletes, inserts;
-  CORAL_RETURN_IF_ERROR(resolve(batch.deletes, &deletes));
-  CORAL_RETURN_IF_ERROR(resolve(batch.inserts, &inserts));
-  for (const Resolved& ins : inserts) {
-    if (builtins_.Lookup(ins.pred.sym->name, ins.pred.arity) != nullptr) {
-      return Status::Unsupported("predicate " + ins.pred.ToString() +
-                                 " is computed by code and not updatable");
-    }
-    if (ins.rel != nullptr) {
-      CORAL_RETURN_IF_ERROR(ins.rel->ValidateInsert(ins.tuple));
-    }
-  }
+  CORAL_RETURN_IF_ERROR(resolve(batch.deletes, false, &deletes));
+  CORAL_RETURN_IF_ERROR(resolve(batch.inserts, true, &inserts));
 
   UpdateDelta delta;
   UpdateResult result;
@@ -340,30 +408,6 @@ StatusOr<UpdateResult> Database::CommitLocked(const UpdateBatch& batch) {
   return result;
 }
 
-Status Database::ApplyIndexDecl(const IndexDecl& decl) {
-  PredRef pred{decl.pred, static_cast<uint32_t>(decl.pattern.size())};
-  auto* rel = dynamic_cast<HashRelation*>(GetOrCreateBaseRelation(pred));
-  if (rel == nullptr) {
-    return Status::Unsupported("@make_index: relation " + pred.ToString() +
-                               " does not support in-memory indices");
-  }
-  if (decl.argument_form) {
-    rel->AddArgumentIndex(decl.cols);
-  } else {
-    rel->AddPatternIndex(decl.pattern, decl.var_count, decl.key_slots);
-  }
-  return Status::OK();
-}
-
-Status Database::ApplyAggSelDecl(const AggSelDecl& decl) {
-  PredRef pred{decl.pred, static_cast<uint32_t>(decl.pattern.size())};
-  Relation* rel = GetOrCreateBaseRelation(pred);
-  rel->AddAggregateSelection(std::make_unique<AggregateSelection>(
-      decl.kind, decl.pattern, decl.var_count, decl.group_args,
-      decl.agg_arg));
-  return Status::OK();
-}
-
 StatusOr<std::vector<Query>> Database::Consult(std::string_view text) {
   WriterLock commit(&commit_mu_);
   snapshot_stale_.store(true, std::memory_order_release);
@@ -376,11 +420,18 @@ StatusOr<std::vector<Query>> Database::ConsultLocked(std::string_view text) {
   CORAL_ASSIGN_OR_RETURN(Program prog, parser.ParseProgram());
   // Annotations first: indices backfill, but aggregate selections only
   // constrain inserts made after they are attached.
+  // A builtin's or a module's predicate stores nothing to annotate.
   for (const IndexDecl& decl : prog.top_indexes) {
-    CORAL_RETURN_IF_ERROR(ApplyIndexDecl(decl));
+    PredRef pred{decl.pred, static_cast<uint32_t>(decl.pattern.size())};
+    Relation* rel = StoredRelation(pred);
+    if (rel != nullptr && !AttachIndex(decl, rel)) {
+      return Status::Unsupported("@make_index: relation " + pred.ToString() +
+                                 " does not support in-memory indices");
+    }
   }
   for (const AggSelDecl& decl : prog.top_agg_selections) {
-    CORAL_RETURN_IF_ERROR(ApplyAggSelDecl(decl));
+    PredRef pred{decl.pred, static_cast<uint32_t>(decl.pattern.size())};
+    if (Relation* rel = StoredRelation(pred)) AttachSelection(decl, rel);
   }
   UpdateBatch facts;
   facts.inserts = std::move(prog.top_facts);
@@ -444,12 +495,11 @@ StatusOr<QueryResult> Database::ExecuteQuery(const Query& query) {
 
   BindEnv env(query.var_count);
   Trail trail;
-  ExternalResolver resolver(this);
   std::vector<std::unique_ptr<GoalSource>> sources;
   sources.reserve(query.body.size());
   for (const Literal& lit : query.body) {
     CORAL_ASSIGN_OR_RETURN(std::unique_ptr<GoalSource> src,
-                           resolver.Make(&lit, &env));
+                           OpenGoal(&lit, &env));
     sources.push_back(std::move(src));
   }
   Rule pseudo;

@@ -69,6 +69,21 @@ class Database {
   BuiltinRegistry* builtins() { return &builtins_; }
   ModuleManager* modules() { return modules_.get(); }
 
+  // ---- predicate namespace ----
+  /// The one definer of a predicate read from outside its module, in
+  /// this order: builtin, module export, base relation, another module's
+  /// local (an error when read), undefined. Registration refuses a second
+  /// definer. Safe with or without ModuleManager's lock held.
+  Resolution Resolve(const PredRef& pred) const;
+  /// The base relation of a stored predicate (created empty when nothing
+  /// defines the name); nullptr when a builtin or a module defines it.
+  Relation* StoredRelation(const PredRef& pred);
+  /// A goal source for a literal outside the evaluating module, by its
+  /// definer: the builtin, a call on the exporting module (paper §5.6) or
+  /// a scan of the stored relation.
+  StatusOr<std::unique_ptr<GoalSource>> OpenGoal(const Literal* lit,
+                                                 BindEnv* env);
+
   // ---- base relations ----
   /// Existing base relation or nullptr.
   Relation* FindBaseRelation(const PredRef& pred) const;
@@ -77,6 +92,7 @@ class Database {
   /// Registers a custom Relation implementation (paper §7.2
   /// extensibility) owned elsewhere, e.g. a persistent relation of a
   /// StorageManager; the owner must outlive the database's use of it.
+  /// AlreadyExists when a builtin or a module export defines `pred`.
   Status RegisterExternalRelation(const PredRef& pred, Relation* relation);
 
   /// Inserts a fact (rule with empty body; may be non-ground) into its
@@ -259,8 +275,6 @@ class Database {
   }
 
  private:
-  Status ApplyIndexDecl(const IndexDecl& decl) CORAL_REQUIRES(commit_mu_);
-  Status ApplyAggSelDecl(const AggSelDecl& decl) CORAL_REQUIRES(commit_mu_);
   StatusOr<std::vector<Query>> ConsultLocked(std::string_view text)
       CORAL_REQUIRES(commit_mu_);
   /// The body of ApplyUpdate, shared by every base-fact write.

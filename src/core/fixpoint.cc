@@ -95,7 +95,7 @@ StatusOr<std::unique_ptr<GoalSource>> MaterializedInstance::MakeSource(
     return std::unique_ptr<GoalSource>(
         new RelationGoalSource(lit, env, rel, from, to, part));
   }
-  return ExternalResolver(db_).Make(lit, env);
+  return db_->OpenGoal(lit, env);
 }
 
 bool MaterializedInstance::HeadInsert(const PredRef& pred, const Tuple* t) {
@@ -410,10 +410,8 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
           d.rule_index = v.rule_index;
           for (const Literal& lit : rule.body) {
             if (lit.negated) continue;
-            if (db_->builtins()->Find(lit.pred->name,
-                                      static_cast<uint32_t>(lit.args.size()))
-                != nullptr &&
-                internal(lit.pred_ref()) == nullptr) {
+            if (internal(lit.pred_ref()) == nullptr &&
+                db_->Resolve(lit.pred_ref()).kind == Definer::kBuiltin) {
               continue;
             }
             std::vector<TermRef> refs;

@@ -100,12 +100,11 @@ class MaintenancePass {
   PredDelta& DeltaFor(const PredRef& p) { return deltas_[p]; }
 
   /// The stored relation a body literal scans: module-internal first,
-  /// else the registered base relation (created empty if absent, so an
-  /// update mentioning a never-asserted predicate still evaluates).
+  /// else the base relation (created empty if absent, so an update
+  /// mentioning a never-asserted predicate still evaluates).
   Relation* StoredRel(const PredRef& p) const {
     Relation* rel = inst_->internal(p);
-    if (rel != nullptr) return rel;
-    return db_->GetOrCreateBaseRelation(p);
+    return rel != nullptr ? rel : db_->StoredRelation(p);
   }
 
   /// True when the literal scans a stored relation (internal or base) —
@@ -113,8 +112,8 @@ class MaintenancePass {
   /// module calls.
   bool IsStored(const Literal& lit) const {
     PredRef p = lit.pred_ref();
-    if (inst_->internal(p) != nullptr) return true;
-    return db_->builtins()->Find(p.sym->name, p.arity) == nullptr;
+    return inst_->internal(p) != nullptr ||
+           db_->Resolve(p).kind != Definer::kBuiltin;
   }
 
   /// Magic seeds (and defensively pinned zero-count tuples) are
@@ -712,13 +711,14 @@ bool MaterializedInstance::CanMaintain() const {
       PredRef p = lit.pred_ref();
       if (internal_.count(p) > 0) continue;
       // Builtins are vetted when the pass compiles: only comparisons run.
-      if (db_->builtins()->Find(p.sym->name, p.arity) != nullptr) continue;
-      if (db_->modules()->Exports(p)) return false;
-      if (!db_->modules()->LocalOwner(p).empty()) return false;
-      Relation* base = db_->FindBaseRelation(p);
-      if (base != nullptr) {
-        if (base->multiset() || !base->selections().empty()) return false;
-        if (dynamic_cast<MemoryRelation*>(base) == nullptr) return false;
+      Resolution r = db_->Resolve(p);
+      if (r.kind == Definer::kExport || r.kind == Definer::kLocal) {
+        return false;
+      }
+      if (r.kind == Definer::kBase &&
+          (r.base->multiset() || !r.base->selections().empty() ||
+           dynamic_cast<MemoryRelation*>(r.base) == nullptr)) {
+        return false;
       }
     }
   }

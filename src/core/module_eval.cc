@@ -11,50 +11,21 @@
 
 namespace coral {
 
-StatusOr<std::unique_ptr<GoalSource>> ExternalResolver::Make(
-    const Literal* lit, BindEnv* env) const {
-  PredRef pred = lit->pred_ref();
-  if (const BuiltinFn* fn = db_->builtins()->Find(pred.sym->name,
-                                                  pred.arity)) {
-    return std::unique_ptr<GoalSource>(
-        new BuiltinGoalSource(lit, env, fn, db_->factory()));
+void AttachSelection(const AggSelDecl& decl, Relation* rel) {
+  rel->AddAggregateSelection(std::make_unique<AggregateSelection>(
+      decl.kind, decl.pattern, decl.var_count, decl.group_args,
+      decl.agg_arg));
+}
+
+bool AttachIndex(const IndexDecl& decl, Relation* rel) {
+  auto* hash = dynamic_cast<HashRelation*>(rel);
+  if (hash == nullptr) return false;
+  if (decl.argument_form) {
+    hash->AddArgumentIndex(decl.cols);
+  } else {
+    hash->AddPatternIndex(decl.pattern, decl.var_count, decl.key_slots);
   }
-  if (Relation* rel = db_->FindBaseRelation(pred)) {
-    if (lit->negated) {
-      return std::unique_ptr<GoalSource>(
-          new NegationGoalSource(lit, env, rel));
-    }
-    return std::unique_ptr<GoalSource>(
-        new RelationGoalSource(lit, env, rel, 0, kMaxMark));
-  }
-  if (db_->modules()->Exports(pred)) {
-    ModuleManager* mm = db_->modules();
-    IteratorGoalSource::Opener opener =
-        [mm, pred](std::span<const TermRef> args) {
-          return mm->OpenQuery(pred, args);
-        };
-    if (lit->negated) {
-      return std::unique_ptr<GoalSource>(
-          new NegatedIteratorGoalSource(lit, env, std::move(opener)));
-    }
-    return std::unique_ptr<GoalSource>(
-        new IteratorGoalSource(lit, env, std::move(opener)));
-  }
-  // Only exported predicates are visible outside their module (§5).
-  const std::string owner = db_->modules()->LocalOwner(pred);
-  if (!owner.empty()) {
-    return Status::FailedPrecondition(
-        "predicate " + pred.ToString() + " is local to module " + owner +
-        " and not exported");
-  }
-  // Unknown predicate: the deductive-database convention is an empty
-  // relation (created so later inserts are visible).
-  Relation* rel = db_->GetOrCreateBaseRelation(pred);
-  if (lit->negated) {
-    return std::unique_ptr<GoalSource>(new NegationGoalSource(lit, env, rel));
-  }
-  return std::unique_ptr<GoalSource>(
-      new RelationGoalSource(lit, env, rel, 0, kMaxMark));
+  return true;
 }
 
 MaterializedInstance::MaterializedInstance(const RewrittenProgram* prog,
@@ -93,8 +64,8 @@ Status MaterializedInstance::Init() {
   // Structural mutation of shared base relations (attaching indexes and
   // aggregate selections, creating referenced relations) is a commit:
   // exclude concurrent readers' lazy snapshot publication for the
-  // duration. Ranks: commit (4) < module mu_ (6) < base map (8), so the
-  // Exports/LocalOwner and GetOrCreateBaseRelation calls below nest fine.
+  // duration. Ranks: commit (4) < module index (7) < base map (8), so the
+  // Resolve and StoredRelation calls below nest fine.
   WriterLock structural(db_->commit_mutex());
   // Internal relations: every rule head, plus done relations for Ordered
   // Search, plus staging relations for magic predicates under OS.
@@ -137,68 +108,40 @@ Status MaterializedInstance::Init() {
     }
   }
 
+  // The predicate an internal relation was rewritten from.
+  auto original = [this](const PredRef& pred) {
+    auto it = prog_->original_of.find(pred);
+    return it != prog_->original_of.end() ? it->second.sym : pred.sym;
+  };
   // Multiset semantics (paper §4.2): duplicate checks only on magic.
   for (Symbol ms : decl_->multiset_preds) {
     for (auto& [pred, rel] : internal_) {
-      auto oit = prog_->original_of.find(pred);
-      Symbol orig = oit != prog_->original_of.end() ? oit->second.sym
-                                                    : pred.sym;
-      if (orig == ms) rel->set_multiset(true);
+      if (original(pred) == ms) rel->set_multiset(true);
     }
   }
 
-  // Aggregate selections (paper §5.5.2) attach to every internal relation
-  // whose original predicate matches the declaration; declarations naming
-  // a base (module-external) predicate attach to the database relation.
+  // Aggregate selections (paper §5.5.2) and declared indices (§5.5.1)
+  // attach to every internal relation whose original predicate matches
+  // the declaration, else to the stored base relation of that name.
+  auto targets = [&](Symbol name, uint32_t arity) {
+    std::vector<Relation*> out;
+    for (auto& [pred, rel] : internal_) {
+      if (original(pred) == name && pred.arity == arity) {
+        out.push_back(rel.get());
+      }
+    }
+    Relation* base = out.empty() ? db_->StoredRelation({name, arity}) : nullptr;
+    if (base != nullptr) out.push_back(base);
+    return out;
+  };
   for (const AggSelDecl& decl : decl_->agg_selections) {
-    bool matched_internal = false;
-    for (auto& [pred, rel] : internal_) {
-      auto oit = prog_->original_of.find(pred);
-      Symbol orig = oit != prog_->original_of.end() ? oit->second.sym
-                                                    : pred.sym;
-      if (orig != decl.pred || pred.arity != decl.pattern.size()) continue;
-      matched_internal = true;
-      rel->AddAggregateSelection(std::make_unique<AggregateSelection>(
-          decl.kind, decl.pattern, decl.var_count, decl.group_args,
-          decl.agg_arg));
-    }
-    if (!matched_internal) {
-      PredRef base{decl.pred, static_cast<uint32_t>(decl.pattern.size())};
-      db_->GetOrCreateBaseRelation(base)->AddAggregateSelection(
-          std::make_unique<AggregateSelection>(decl.kind, decl.pattern,
-                                               decl.var_count,
-                                               decl.group_args,
-                                               decl.agg_arg));
+    for (Relation* rel : targets(decl.pred, decl.pattern.size())) {
+      AttachSelection(decl, rel);
     }
   }
-
-  // Declared indices (paper §5.5.1), same internal-then-base resolution.
   for (const IndexDecl& decl : decl_->indexes) {
-    bool matched_internal = false;
-    for (auto& [pred, rel] : internal_) {
-      auto oit = prog_->original_of.find(pred);
-      Symbol orig = oit != prog_->original_of.end() ? oit->second.sym
-                                                    : pred.sym;
-      if (orig != decl.pred || pred.arity != decl.pattern.size()) continue;
-      matched_internal = true;
-      if (decl.argument_form) {
-        rel->AddArgumentIndex(decl.cols);
-      } else {
-        rel->AddPatternIndex(decl.pattern, decl.var_count, decl.key_slots);
-      }
-    }
-    if (!matched_internal) {
-      PredRef base{decl.pred, static_cast<uint32_t>(decl.pattern.size())};
-      auto* rel = dynamic_cast<HashRelation*>(
-          db_->GetOrCreateBaseRelation(base));
-      if (rel != nullptr) {
-        if (decl.argument_form) {
-          rel->AddArgumentIndex(decl.cols);
-        } else {
-          rel->AddPatternIndex(decl.pattern, decl.var_count,
-                               decl.key_slots);
-        }
-      }
+    for (Relation* rel : targets(decl.pred, decl.pattern.size())) {
+      AttachIndex(decl, rel);
     }
   }
 
@@ -210,17 +153,11 @@ Status MaterializedInstance::Init() {
   // indexes are kept too: they serve fully-bound lookups (negation as
   // set-difference probes the whole tuple).
   for (const PlannedIndex& pi : prog_->index_plan) {
-    HashRelation* target = nullptr;
     auto it = internal_.find(pi.pred);
-    if (it != internal_.end()) {
-      target = it->second.get();
-    } else if (db_->builtins()->Find(pi.pred.sym->name, pi.pred.arity) ==
-               nullptr &&
-               !db_->modules()->Exports(pi.pred) &&
-               db_->modules()->LocalOwner(pi.pred).empty()) {
-      target = dynamic_cast<HashRelation*>(
-          db_->GetOrCreateBaseRelation(pi.pred));
-    }
+    auto* target = it != internal_.end()
+                       ? it->second.get()
+                       : dynamic_cast<HashRelation*>(
+                             db_->StoredRelation(pi.pred));
     if (target != nullptr) target->AddArgumentIndex(pi.cols);
   }
   // Index the answer relation on the query form's bound positions so
@@ -245,19 +182,16 @@ Status MaterializedInstance::Init() {
     for (const Literal& lit : r.body) {
       PredRef pred = lit.pred_ref();
       if (internal_.count(pred)) continue;
-      if (const BuiltinEntry* builtin =
-              db_->builtins()->Lookup(pred.sym->name, pred.arity)) {
-        if (!builtin->modes.pure) parallel_safe_ = false;
-        continue;
-      }
-      if (db_->modules()->Exports(pred) ||
-          !db_->modules()->LocalOwner(pred).empty()) {
+      Resolution r = db_->Resolve(pred);
+      if (r.kind == Definer::kBuiltin) {
+        if (!r.builtin->modes.pure) parallel_safe_ = false;
+      } else if (r.kind == Definer::kExport || r.kind == Definer::kLocal) {
         parallel_safe_ = false;
-        continue;
+      } else if (r.kind == Definer::kUndefined) {
+        // Create the relation now, while still single-threaded, so
+        // workers never race through GetOrCreateBaseRelation.
+        db_->GetOrCreateBaseRelation(pred);
       }
-      // Plain base relation: create it now, while still single-threaded,
-      // so workers never race through GetOrCreateBaseRelation.
-      db_->GetOrCreateBaseRelation(pred);
     }
   }
 
@@ -316,15 +250,11 @@ void MaterializedInstance::BindVmPrograms() {
     std::vector<Relation*> rels;
     for (const PredRef& pred : rp->preds) {
       Relation* rel = internal(pred);
+      if (rel == nullptr) rel = db_->StoredRelation(pred);
       if (rel == nullptr) {
-        if (db_->builtins()->Find(pred.sym->name, pred.arity) != nullptr ||
-            db_->modules()->Exports(pred) ||
-            !db_->modules()->LocalOwner(pred).empty()) {
-          db_->vm_counters()->bind_fallbacks.fetch_add(
-              1, std::memory_order_relaxed);
-          return b;
-        }
-        rel = db_->GetOrCreateBaseRelation(pred);
+        db_->vm_counters()->bind_fallbacks.fetch_add(
+            1, std::memory_order_relaxed);
+        return b;
       }
       rels.push_back(rel);
     }

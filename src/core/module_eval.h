@@ -44,18 +44,11 @@ struct Derivation {
   std::vector<std::pair<PredRef, const Tuple*>> body;
 };
 
-/// Builds goal sources for literals that are NOT module-internal:
-/// builtins, base relations, exports of other modules (inter-module
-/// calls, paper §5.6), or freshly auto-created empty relations.
-class ExternalResolver {
- public:
-  explicit ExternalResolver(Database* db) : db_(db) {}
-  StatusOr<std::unique_ptr<GoalSource>> Make(const Literal* lit,
-                                             BindEnv* env) const;
-
- private:
-  Database* db_;
-};
+/// Attaches a declared aggregate selection (paper §5.5.2) to `rel`.
+void AttachSelection(const AggSelDecl& decl, Relation* rel);
+/// Attaches a declared index (paper §5.5.1) to `rel`; false when `rel`
+/// keeps no in-memory indices.
+bool AttachIndex(const IndexDecl& decl, Relation* rel);
 
 /// The run-time state of one materialized (module, query form) activation:
 /// relations for every internal predicate, fixpoint bookkeeping, and the

@@ -80,30 +80,28 @@ Status ModuleManager::AddModule(ModuleDecl decl, DiagnosticList* diags) {
   }
 
   MutexLock lock(&mu_);
+  // One definer per name: an export may not take over a builtin, another
+  // module's export or stored facts (an empty base relation defines
+  // nothing). Refused before any change, so a previous version stays.
+  for (const QueryFormDecl& form : decl.exports) {
+    PredRef pred{form.pred, static_cast<uint32_t>(form.adornment.size())};
+    Resolution r = db_->Resolve(pred);
+    if (r.kind == Definer::kBuiltin ||
+        (r.kind == Definer::kExport && r.module != decl.name) ||
+        (r.kind == Definer::kBase && r.base->size() > 0)) {
+      return Status::AlreadyExists("module " + decl.name + " exports " +
+                                   pred.ToString() + ", which is " +
+                                   r.ToString());
+    }
+  }
   // Replace an existing module of the same name. The displaced entry is
   // retired rather than destroyed: queries already running against it
   // (possible under concurrent sessions) finish on the old version.
   for (auto it = modules_.begin(); it != modules_.end(); ++it) {
-    if ((*it)->decl.name == decl.name) {
-      for (auto eit = export_index_.begin(); eit != export_index_.end();) {
-        if (eit->second == it->get()) {
-          eit = export_index_.erase(eit);
-        } else {
-          ++eit;
-        }
-      }
-      for (auto lit = local_index_.begin(); lit != local_index_.end();) {
-        if (lit->second == decl.name) {
-          lit = local_index_.erase(lit);
-        } else {
-          ++lit;
-        }
-      }
-      retired_.push_back(std::move(*it));
-      modules_.erase(it);
-      names_.erase(std::find(names_.begin(), names_.end(), decl.name));
-      break;
-    }
+    if ((*it)->decl.name != decl.name) continue;
+    retired_.push_back(std::move(*it));
+    modules_.erase(it);
+    break;
   }
 
   auto entry = std::make_unique<ModuleEntry>();
@@ -112,45 +110,46 @@ Status ModuleManager::AddModule(ModuleDecl decl, DiagnosticList* diags) {
     entry->pipelined =
         std::make_unique<PipelinedModule>(&entry->decl, db_);
   }
+  // A form compiled earlier may have read a name this module now exports
+  // as an (empty) base relation: it calls the module from now on.
   for (const QueryFormDecl& form : entry->decl.exports) {
     PredRef pred{form.pred, static_cast<uint32_t>(form.adornment.size())};
-    export_index_[pred] = entry.get();
-  }
-  // Non-exported rule heads are module-local (paper §5): visible to this
-  // module's own rules only.
-  for (const Rule& r : entry->decl.rules) {
-    PredRef head = r.head.pred_ref();
-    if (export_index_.count(head) == 0) {
-      local_index_[head] = entry->decl.name;
+    for (auto& other : modules_) {
+      for (auto& [key, cf] : other->forms) {
+        if (cf.base_deps.erase(pred) == 0) continue;
+        cf.external_module_deps = true;
+        cf.saved.reset();
+      }
     }
   }
-  names_.push_back(entry->decl.name);
   modules_.push_back(std::move(entry));
+
+  MutexLock index_lock(&index_mu_);
+  index_.clear();
+  for (const auto& m : modules_) {
+    for (const QueryFormDecl& form : m->decl.exports) {
+      PredRef pred{form.pred, static_cast<uint32_t>(form.adornment.size())};
+      index_[pred] = {m.get(), true};
+    }
+  }
+  // Non-exported rule heads are module-local (paper §5): visible to this
+  // module's own rules only. emplace keeps any export of the name.
+  for (const auto& m : modules_) {
+    for (const Rule& r : m->decl.rules) {
+      index_.emplace(r.head.pred_ref(), IndexEntry{m.get(), false});
+    }
+  }
   return Status::OK();
 }
 
-bool ModuleManager::Exports(const PredRef& pred) const {
-  MutexLock lock(&mu_);
-  return export_index_.count(pred) > 0;
-}
-
-bool ModuleManager::ExportsUnlocked(const PredRef& pred) const {
-  return export_index_.count(pred) > 0;
-}
-
-bool ModuleManager::HasLocalOwnerUnlocked(const PredRef& pred) const {
-  return local_index_.count(pred) > 0 && export_index_.count(pred) == 0;
-}
-
-std::string ModuleManager::LocalOwner(const PredRef& pred) const {
-  MutexLock lock(&mu_);
-  auto it = local_index_.find(pred);
-  // Exported elsewhere wins: a name can be local in one module and
-  // exported by another.
-  if (it == local_index_.end() || export_index_.count(pred) > 0) {
-    return std::string();
-  }
-  return it->second;
+Resolution ModuleManager::Claim(const PredRef& pred) const {
+  MutexLock lock(&index_mu_);
+  Resolution r;
+  auto it = index_.find(pred);
+  if (it == index_.end()) return r;
+  r.kind = it->second.exported ? Definer::kExport : Definer::kLocal;
+  r.module = it->second.entry->decl.name;
+  return r;
 }
 
 const QueryFormDecl* ModuleManager::SelectForm(
@@ -206,9 +205,9 @@ StatusOr<ModuleManager::CompiledForm*> ModuleManager::CompileFormLocked(
   // Real base-relation sizes at compile time feed the cardinality domain.
   Database* db = db_;
   ropts.base_card = [db](const PredRef& pred) {
-    Relation* rel = db->FindBaseRelation(pred);
-    if (rel == nullptr) return absint::Card::kMany;  // unknown / late facts
-    size_t n = rel->size();
+    Resolution r = db->Resolve(pred);
+    if (r.kind != Definer::kBase) return absint::Card::kMany;  // unknown
+    size_t n = r.base->size();
     if (n == 0) return absint::Card::kFew;  // may still be loaded later
     if (n == 1) return absint::Card::kOne;
     return n <= 16 ? absint::Card::kFew : absint::Card::kMany;
@@ -246,8 +245,9 @@ StatusOr<ModuleManager::CompiledForm*> ModuleManager::CompileFormLocked(
       for (const Literal& lit : r.body) {
         PredRef p = lit.pred_ref();
         if (heads.count(p) > 0) continue;
-        if (ropts.is_builtin(p.sym->name, p.arity)) continue;
-        if (ExportsUnlocked(p) || HasLocalOwnerUnlocked(p)) {
+        Definer d = db_->Resolve(p).kind;
+        if (d == Definer::kBuiltin) continue;
+        if (d == Definer::kExport || d == Definer::kLocal) {
           cf.external_module_deps = true;
           continue;
         }
@@ -261,11 +261,9 @@ StatusOr<ModuleManager::CompiledForm*> ModuleManager::CompileFormLocked(
   {
     vm::CompileEnv cenv;
     cenv.is_builtin = ropts.is_builtin;
-    ModuleManager* self = this;
-    // Unlocked variants: these callbacks run during CompileModule, below,
-    // while this thread already holds mu_.
-    cenv.is_module_pred = [self](const PredRef& p) {
-      return self->ExportsUnlocked(p) || self->HasLocalOwnerUnlocked(p);
+    cenv.is_module_pred = [db](const PredRef& p) {
+      Definer d = db->Resolve(p).kind;
+      return d == Definer::kExport || d == Definer::kLocal;
     };
     cf.vm = std::make_unique<vm::ModuleProgram>(
         vm::CompileModule(*cf.prog, entry->decl, cenv));
@@ -485,11 +483,14 @@ StatusOr<std::unique_ptr<TupleIterator>> ModuleManager::OpenQuery(
   CompiledForm* cf = nullptr;
   {
     MutexLock lock(&mu_);
-    auto eit = export_index_.find(pred);
-    if (eit == export_index_.end()) {
-      return Status::NotFound("no module exports " + pred.ToString());
+    {
+      MutexLock index_lock(&index_mu_);
+      auto eit = index_.find(pred);
+      if (eit == index_.end() || !eit->second.exported) {
+        return Status::NotFound("no module exports " + pred.ToString());
+      }
+      entry = eit->second.entry;
     }
-    entry = eit->second;
     if (entry->decl.eval_mode != EvalMode::kPipelined) {
       const QueryFormDecl* form = SelectForm(*entry, pred, args);
       if (form == nullptr) {

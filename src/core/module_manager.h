@@ -25,6 +25,19 @@ namespace coral {
 
 class Database;
 
+/// The one definer of a predicate read from outside its module
+/// (Database::Resolve, docs/INTERNALS.md "Predicate resolution").
+enum class Definer { kBuiltin, kExport, kBase, kLocal, kUndefined };
+
+struct Resolution {
+  Definer kind = Definer::kUndefined;
+  const BuiltinEntry* builtin = nullptr;  // kBuiltin
+  Relation* base = nullptr;               // kBase
+  std::string module;                     // kExport, kLocal: the module
+  /// "a builtin", "exported by module m", ... for refusal messages.
+  std::string ToString() const;
+};
+
 /// Thread-safety: registration and the form cache are guarded by mu_
 /// (rank kRankModuleManager). OpenQuery is safe from concurrent reader
 /// sessions; instance Init/Seed/Run happen OUTSIDE mu_ (Init acquires the
@@ -41,17 +54,14 @@ class ModuleManager {
   /// replaces it. The semantic analyzer runs first: diagnostics go to
   /// `diags` when non-null, and the module is refused (leaving any
   /// previous version in place) on errors — or on warnings too when the
-  /// database is in strict mode.
+  /// database is in strict mode, or (AlreadyExists) when an export already
+  /// has another definer. The caller holds the database commit lock.
   Status AddModule(ModuleDecl decl, DiagnosticList* diags = nullptr);
 
-  /// True if some module exports `pred`.
-  bool Exports(const PredRef& pred) const;
-
-  /// Name of the module defining `pred` locally (without exporting it);
-  /// empty string when no module claims it. Only exported predicates are
-  /// visible outside their module (paper §5). By value: the entry can be
-  /// retired by a concurrent module replacement.
-  std::string LocalOwner(const PredRef& pred) const;
+  /// The modules' claim on `pred` for Database::Resolve: kExport, kLocal
+  /// (a rule head only its own module sees, paper §5) or kUndefined.
+  /// Takes only index_mu_, so it is safe under mu_.
+  Resolution Claim(const PredRef& pred) const;
 
   /// Opens an inter-module (or top-level) call: selects the best matching
   /// query form for the binding pattern of `args`, compiles it on first
@@ -89,7 +99,9 @@ class ModuleManager {
 
   std::vector<std::string> module_names() const {
     MutexLock lock(&mu_);
-    return names_;
+    std::vector<std::string> names;
+    for (const auto& entry : modules_) names.push_back(entry->decl.name);
+    return names;
   }
 
   /// Drops the saved instance of every compiled form that (transitively
@@ -164,16 +176,6 @@ class ModuleManager {
   const QueryFormDecl* SelectForm(const ModuleEntry& entry,
                                   const PredRef& pred,
                                   std::span<const TermRef> args) const;
-  /// Unlocked membership checks for the bytecode compiler's callbacks,
-  /// which run while CompileFormLocked holds mu_ but cross a
-  /// std::function boundary the analysis cannot follow.
-  bool ExportsUnlocked(const PredRef& pred) const
-      CORAL_TS_UNSAFE("only called from compile callbacks invoked under "
-                      "mu_ by CompileFormLocked");
-  bool HasLocalOwnerUnlocked(const PredRef& pred) const
-      CORAL_TS_UNSAFE("only called from compile callbacks invoked under "
-                      "mu_ by CompileFormLocked");
-
   Database* db_;
   mutable Mutex mu_{kRankModuleManager};
   std::vector<std::unique_ptr<ModuleEntry>> modules_ CORAL_GUARDED_BY(mu_);
@@ -181,11 +183,15 @@ class ModuleManager {
   /// never destroyed: scans opened against the old version (and compiled
   /// forms pointing into its decl) stay valid for the database's life.
   std::vector<std::unique_ptr<ModuleEntry>> retired_ CORAL_GUARDED_BY(mu_);
-  std::vector<std::string> names_ CORAL_GUARDED_BY(mu_);
-  std::unordered_map<PredRef, ModuleEntry*, PredRefHash> export_index_
-      CORAL_GUARDED_BY(mu_);
-  std::unordered_map<PredRef, std::string, PredRefHash> local_index_
-      CORAL_GUARDED_BY(mu_);
+  /// Every export and every non-exported rule head, with its module; an
+  /// export wins over another module's local head.
+  struct IndexEntry {
+    ModuleEntry* entry;
+    bool exported;
+  };
+  mutable Mutex index_mu_{kRankModuleIndex};
+  std::unordered_map<PredRef, IndexEntry, PredRefHash> index_
+      CORAL_GUARDED_BY(index_mu_);
   std::shared_ptr<MaterializedInstance> last_instance_
       CORAL_GUARDED_BY(mu_);
 };

@@ -119,7 +119,7 @@ bool PipelinedPredScan::ActivateRule(const Rule* rule) {
       }
       continue;
     }
-    auto src = ExternalResolver(mod_->db_).Make(&bl, rule_env_.get());
+    auto src = mod_->db_->OpenGoal(&bl, rule_env_.get());
     if (!src.ok()) {
       status_ = src.status();
       trail_->UndoTo(rule_mark_);

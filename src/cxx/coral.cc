@@ -49,11 +49,9 @@ StatusOr<const Arg*> Coral::Term(const std::string& text) {
 }
 
 Relation* Coral::GetRelation(const std::string& name, uint32_t arity) {
-  // A predicate computed by code stores nothing: a relation under its
-  // name would hold tuples no query reads.
-  if (db_->builtins()->Lookup(name, arity) != nullptr) return nullptr;
-  PredRef pred{factory()->symbols().Intern(name), arity};
-  return db_->GetOrCreateBaseRelation(pred);
+  // A builtin or a module defines its answers and stores nothing: a
+  // relation under its name would hold tuples no query reads.
+  return db_->StoredRelation({factory()->symbols().Intern(name), arity});
 }
 
 StatusOr<bool> Coral::Insert(const std::string& pred,
@@ -88,8 +86,8 @@ StatusOr<C_ScanDesc> Coral::OpenScan(const std::string& goal) {
     return Status::InvalidArgument("cannot open a scan on a negated goal");
   }
 
-  // The goal resolves like a query literal (ExternalResolver): to a
-  // builtin, a base relation or a module export. Each solution is the
+  // The goal resolves like a query literal (Database::OpenGoal): to a
+  // builtin, a module export or a base relation. Each solution is the
   // tuple of the goal's arguments under its bindings.
   class GoalIterator : public TupleIterator {
    public:
@@ -99,8 +97,8 @@ StatusOr<C_ScanDesc> Coral::OpenScan(const std::string& goal) {
           factory_(factory) {
       for (const Arg* a : query_.body[0].args) refs_.push_back({a, &env_});
     }
-    Status Open(const ExternalResolver& resolver) {
-      CORAL_ASSIGN_OR_RETURN(source_, resolver.Make(&query_.body[0], &env_));
+    Status Open(Database* db) {
+      CORAL_ASSIGN_OR_RETURN(source_, db->OpenGoal(&query_.body[0], &env_));
       source_->Reset(&trail_);
       return source_->status();
     }
@@ -120,16 +118,19 @@ StatusOr<C_ScanDesc> Coral::OpenScan(const std::string& goal) {
   };
   auto it = std::make_unique<GoalIterator>(std::move(prog.queries[0]),
                                            factory());
-  CORAL_RETURN_IF_ERROR(it->Open(ExternalResolver(db_)));
+  CORAL_RETURN_IF_ERROR(it->Open(db_));
   return C_ScanDesc(std::move(it));
 }
 
 Status Coral::RegisterPredicate(const std::string& pred, uint32_t arity,
                                 ComputedPredicateFn fn) {
   PredRef ref{factory()->symbols().Intern(pred), arity};
-  if (db_->FindBaseRelation(ref) != nullptr) {
-    return Status::AlreadyExists("predicate " + ref.ToString() +
-                                 " already has a relation");
+  // Under the commit lock, so no module load or fact lands in between.
+  WriterLock commit(db_->commit_mutex());
+  Resolution r = db_->Resolve(ref);
+  if (r.kind != Definer::kUndefined && r.kind != Definer::kLocal) {
+    return Status::AlreadyExists("predicate " + ref.ToString() + " is " +
+                                 r.ToString());
   }
   BuiltinFn gen = [fn = std::move(fn)](std::span<const TermRef> args,
                                        TermFactory* f)
@@ -141,7 +142,7 @@ Status Coral::RegisterPredicate(const std::string& pred, uint32_t arity,
   };
   // Modes unknown: the optimizer keeps rules that call it in written
   // order. No evaluation has read pred/arity yet: one that had would
-  // have created its (empty) base relation.
+  // have created its (empty) base relation, which Resolve reports.
   return db_->builtins()->Register(pred, arity, {std::move(gen), {}});
 }
 

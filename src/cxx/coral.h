@@ -112,7 +112,8 @@ class Coral {
   }
 
   /// The base relation for name/arity (created empty if absent); nullptr
-  /// for a builtin or a predicate registered with RegisterPredicate.
+  /// when a builtin (RegisterPredicate's included) or a module defines
+  /// the predicate (Database::Resolve).
   Relation* GetRelation(const std::string& name, uint32_t arity);
 
   /// Inserts a fact; creates the relation on first use.
@@ -133,7 +134,8 @@ class Coral {
   /// Registers `fn` as the definition of pred/arity, a builtin whose
   /// binding modes are unknown; declarative rules can then call it like
   /// any other predicate, and facts for it are refused. AlreadyExists
-  /// when pred/arity is a builtin or has a base relation. Substitute for
+  /// when pred/arity is a builtin, a module export or has a base
+  /// relation. Substitute for
   /// the paper's incremental .o loading (DESIGN.md §4).
   Status RegisterPredicate(const std::string& pred, uint32_t arity,
                            ComputedPredicateFn fn);

@@ -119,7 +119,10 @@ enum LockRank : uint32_t {
   kRankCommitLock = 4,       // Database::commit_mu_ (writer commits /
                              // snapshot publication; readers share it
                              // briefly at snapshot acquisition)
-  kRankModuleManager = 6,    // ModuleManager::mu_ (form cache, exports)
+  kRankModuleManager = 6,    // ModuleManager::mu_ (form cache, modules)
+  kRankModuleIndex = 7,      // ModuleManager::index_mu_ (export/local
+                             // claims; Database::Resolve reads them,
+                             // also under mu_)
   kRankBaseMap = 8,          // Database::base_mu_ (base-relation map)
   kRankThreadPool = 10,      // ThreadPool::mu_ (batch dispatch state)
   kRankStatsRegistry = 20,   // obs::StatsRegistry::mu_ (profile map)

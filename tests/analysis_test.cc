@@ -74,8 +74,9 @@ TEST_F(AnalysisTest, UnsafeRuleRejectedAtModuleLoad) {
   EXPECT_NE(msg.find("p/2"), std::string::npos) << msg;
   EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
   // The refused module must not be registered.
-  EXPECT_FALSE(db_.modules()->Exports(
-      PredRef{db_.factory()->symbols().Intern("p"), 2}));
+  EXPECT_NE(db_.Resolve(PredRef{db_.factory()->symbols().Intern("p"), 2})
+                .kind,
+            Definer::kExport);
 }
 
 TEST_F(AnalysisTest, ExportAdornmentMakesHeadVariableSafe) {

@@ -572,6 +572,100 @@ TEST_F(CoreTest, FactsForBuiltinsAreRefused) {
             nullptr);
 }
 
+// One predicate namespace: a body predicate has one definer, which
+// Database::Resolve names; registration refuses a second one.
+constexpr const char* kMq = R"(
+  r(1, 3).
+  module mq. export q(bf).
+  q(X, Y) :- r(X, Y).
+  end_module.
+)";
+
+TEST_F(CoreTest, ExportWinsOverBaseRelationAnEarlierReadCreated) {
+  // A query on a rule that reads q creates an empty base relation q;
+  // loading the module that exports q afterwards must not lose to it.
+  Load(R"(
+    module reader. export p(bf).
+    p(X, Y) :- q(X, Y).
+    end_module.
+    module saved_reader. export sp(bf). @save_module.
+    sp(X, Y) :- q(X, Y).
+    end_module.
+  )");
+  EXPECT_TRUE(Ask("p(1, Y)").empty());
+  EXPECT_TRUE(Ask("sp(1, Y)").empty());
+  Load(kMq);
+  EXPECT_EQ(Ask("q(1, Y)"), std::vector<std::string>{"Y = 3"});
+  EXPECT_EQ(Ask("p(1, Y)"), std::vector<std::string>{"Y = 3"});
+  // The saved answers read the empty relation: they are dropped, and the
+  // form now depends on mq.
+  EXPECT_EQ(Ask("sp(1, Y)"), std::vector<std::string>{"Y = 3"});
+  Load("r(1, 4).");
+  EXPECT_EQ(Ask("sp(1, Y)"), (std::vector<std::string>{"Y = 3", "Y = 4"}));
+}
+
+TEST_F(CoreTest, TopLevelIndexDoesNotHideAnExport) {
+  Load(std::string("@make_index q(X, Y) (X).\n") + kMq);
+  EXPECT_EQ(Ask("q(1, Y)"), std::vector<std::string>{"Y = 3"});
+}
+
+TEST_F(CoreTest, FactsAndAnExportOfOnePredicateAreRefused) {
+  // Facts first: the module is refused.
+  auto facts_first = db.Consult(std::string("q(1, 2).\n") + kMq);
+  ASSERT_EQ(facts_first.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(facts_first.status().message().find("q/2"), std::string::npos)
+      << facts_first.status().ToString();
+  EXPECT_EQ(Ask("q(1, Y)"), std::vector<std::string>{"Y = 2"});
+  // Module first: the fact is refused.
+  Database other;
+  ASSERT_TRUE(other.Consult(kMq).ok());
+  auto module_first = other.Consult("q(1, 2).");
+  ASSERT_EQ(module_first.status().code(), StatusCode::kUnsupported);
+  EXPECT_NE(module_first.status().message().find("q/2"), std::string::npos)
+      << module_first.status().ToString();
+  auto answers = other.EvalQuery("q(1, Y)");
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->ToString(), "Y = 3\n");
+}
+
+TEST_F(CoreTest, ExportingABuiltinOrAnotherModulesExportIsRefused) {
+  Load("r(1, 3).");
+  auto builtin = db.Consult(R"(
+    module mm. export member(bf).
+    member(X, Y) :- r(X, Y).
+    end_module.
+  )");
+  ASSERT_EQ(builtin.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(builtin.status().message().find("member/2"), std::string::npos)
+      << builtin.status().ToString();
+  EXPECT_EQ(db.Resolve({db.factory()->symbols().Intern("member"), 2}).kind,
+            Definer::kBuiltin);
+  Load(kMq);
+  auto second = db.Consult(R"(
+    module mq2. export q(bf).
+    q(X, Y) :- r(Y, X).
+    end_module.
+  )");
+  EXPECT_EQ(second.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(Ask("q(1, Y)"), std::vector<std::string>{"Y = 3"});
+}
+
+TEST_F(CoreTest, RefusedModuleVersionLeavesThePreviousOneInPlace) {
+  Load(kMq);
+  // The new version would answer q(1, Y) with nothing, but it also
+  // exports a builtin name.
+  auto replaced = db.Consult(R"(
+    module mq. export q(bf). export member(bf).
+    q(X, Y) :- r(Y, X).
+    member(X, Y) :- r(X, Y).
+    end_module.
+  )");
+  EXPECT_EQ(replaced.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(Ask("q(1, Y)"), std::vector<std::string>{"Y = 3"});
+  EXPECT_EQ(db.Resolve({db.factory()->symbols().Intern("q"), 2}).kind,
+            Definer::kExport);
+}
+
 // ---------------------------------------------------------------------
 // Pipelining
 // ---------------------------------------------------------------------

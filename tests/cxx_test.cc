@@ -281,6 +281,40 @@ TEST(CxxTest, BuiltinsAreOnePredicateRegistry) {
   EXPECT_NE(c.GetRelation("sq", 2), nullptr);
 }
 
+TEST(CxxTest, ModuleExportsAreOneDefiner) {
+  // q/2 is exported by mq: C++ can neither define it again nor store
+  // tuples for it, and its answers stay the module's.
+  Coral c;
+  ASSERT_TRUE(c.Consult(R"(
+    r(1, 3).
+    module mq. export q(bf).
+    q(X, Y) :- r(X, Y).
+    end_module.
+  )").ok());
+  auto fn = [](std::span<const TermRef>, TermFactory*,
+               std::vector<const Tuple*>*) { return Status::OK(); };
+  Status st = c.RegisterPredicate("q", 2, fn);
+  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists) << st.ToString();
+  EXPECT_EQ(c.GetRelation("q", 2), nullptr);
+  PredRef q{c.factory()->symbols().Intern("q"), 2};
+  EXPECT_EQ(c.db()->FindBaseRelation(q), nullptr);
+  HashRelation external("q", 2);
+  EXPECT_EQ(c.db()->RegisterExternalRelation(q, &external).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(c.Insert("q", {c.Int(1), c.Int(9)}).status().code(),
+            StatusCode::kUnsupported);
+  auto out = c.EvalQuery("q(1, Y)");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->ToString(), "Y = 3\n");
+  // A builtin name cannot be taken over by a relation either.
+  HashRelation member("member", 2);
+  EXPECT_EQ(c.db()
+                ->RegisterExternalRelation(
+                    {c.factory()->symbols().Intern("member"), 2}, &member)
+                .code(),
+            StatusCode::kAlreadyExists);
+}
+
 TEST(CxxTest, RelationAbstractionFromCxx) {
   // Manipulate a declaratively computed relation imperatively without
   // breaking the relation abstraction (paper §6 mode 1).

@@ -19,8 +19,10 @@
 //   {"file":...,"module":...,"form":...,"scc":N,"kind":"version"|"once",
 //    "index":N,"rule":N,"head":"p/2","status":"verified"|"rejected",
 //    "findings":[{"severity":...,"code":"CRL3xx","message":...},...]}
-// Interpreted (never-compiled) rule versions do not appear; forms that
-// fail to compile at all emit a {"status":"error"} object.
+// Interpreted (never-compiled) rule versions do not appear as rows, but
+// the text summary's "interpreted" count includes them along with the
+// whole forms that run interpreted; forms that fail to compile at all
+// emit a {"status":"error"} object.
 //
 // Exit code contract (as coral_lint): 0 all programs verified with no
 // findings, 1 warnings only, 2 any rejected program, unreadable file,
@@ -112,9 +114,11 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 
 /// A .crl file: consult into a fresh database (so @make_index and base
 /// facts are in place, matching the engine's compile environment) and
-/// audit every export form.
+/// audit every export form. Adds the form's rule versions that run
+/// interpreted, which have no verdict, to *interpreted.
 void VerifySourceFile(const std::string& file, const std::string& text,
-                      bool auto_optimize, std::vector<Verdict>* out) {
+                      bool auto_optimize, std::vector<Verdict>* out,
+                      size_t* interpreted) {
   coral::Database db;
   db.set_auto_optimize(auto_optimize);
   auto consulted = db.Consult(text);
@@ -142,6 +146,7 @@ void VerifySourceFile(const std::string& file, const std::string& text,
       out->push_back(std::move(v));
       continue;
     }
+    *interpreted += fa.skipped;
     for (coral::vm::ProgramVerdict& pv : fa.audit.verdicts) {
       Verdict v;
       v.file = file;
@@ -231,6 +236,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Verdict> verdicts;
+  size_t interpreted = 0;  // whole forms plus single rule versions
   bool io_error = false;
   for (const std::string& file : files) {
     std::ifstream in(file);
@@ -242,7 +248,8 @@ int main(int argc, char** argv) {
     std::ostringstream buf;
     buf << in.rdbuf();
     if (EndsWith(file, ".crl")) {
-      VerifySourceFile(file, buf.str(), auto_optimize, &verdicts);
+      VerifySourceFile(file, buf.str(), auto_optimize, &verdicts,
+                       &interpreted);
     } else {
       VerifyBytecodeFile(file, buf.str(), &verdicts);
     }
@@ -250,7 +257,6 @@ int main(int argc, char** argv) {
 
   size_t rejected = 0;
   size_t verified = 0;
-  size_t interpreted = 0;
   size_t warnings = 0;
   for (const Verdict& v : verdicts) {
     if (v.status == "rejected" || v.status == "error") ++rejected;
