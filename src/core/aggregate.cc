@@ -9,77 +9,69 @@ namespace coral {
 AggHeadSpec AnalyzeAggHead(const Literal& head) {
   AggHeadSpec spec;
   for (const Arg* a : head.args) {
-    AggArgSpec arg;
-    arg.term = a;
+    AggFn fn = AggFn::kNone;
+    const Arg* projected = a;
     if (a->kind() == ArgKind::kAtomOrFunctor) {
       const auto* f = ArgCast<FunctorArg>(a);
       if (f->name() == kGroupMarker && f->arity() == 1) {
-        arg.fn = AggFn::kSetOf;
-        arg.var = f->arg(0);
+        fn = AggFn::kSetOf;
+        projected = f->arg(0);
       } else if (f->arity() == 1 &&
                  AggFnFromName(f->name()) != AggFn::kNone) {
         const Arg* inner = f->arg(0);
         if (inner->kind() == ArgKind::kAtomOrFunctor) {
           const auto* g = ArgCast<FunctorArg>(inner);
           if (g->name() == kGroupMarker && g->arity() == 1) {
-            arg.fn = AggFnFromName(f->name());
-            arg.var = g->arg(0);
+            fn = AggFnFromName(f->name());
+            projected = g->arg(0);
           }
         }
       }
     }
-    spec.is_aggregate |= arg.fn != AggFn::kNone;
-    spec.args.push_back(arg);
+    spec.fns.push_back(fn);
+    spec.pre_head.push_back(projected);
   }
   return spec;
 }
 
-Status GroupAccumulator::Feed() {
-  // Resolve group-by values (one renamer: consistent renaming of any
-  // unbound variables across the key) and aggregate inputs.
-  VarRenamer renamer;
-  std::vector<const Arg*> key;
-  std::vector<const Arg*> inputs(spec_->args.size(), nullptr);
-  uint64_t h = 0x96093ull;
-  for (size_t i = 0; i < spec_->args.size(); ++i) {
-    const AggArgSpec& a = spec_->args[i];
-    if (a.fn == AggFn::kNone) {
-      const Arg* v = ResolveTerm(a.term, env_, factory_, &renamer);
-      key.push_back(v);
-      h = HashCombine(h, v->Hash());
-    } else {
-      inputs[i] = ResolveTerm(a.var, env_, factory_, &renamer);
-    }
-  }
+bool GroupAccumulator::Emit(const Tuple* t) {
+  if (status_.ok()) status_ = Feed(t);
+  return false;
+}
 
-  // Find or create the group.
-  auto& bucket = groups_[h];
-  Group* group = nullptr;
-  for (Group& g : bucket) {
-    if (g.key.size() == key.size()) {
-      bool same = true;
-      for (size_t i = 0; i < key.size() && same; ++i) {
-        same = key[i] == g.key[i] || key[i]->Equals(*g.key[i]);
-      }
-      if (same) {
-        group = &g;
-        break;
+Status GroupAccumulator::Feed(const Tuple* t) {
+  // Find or create the group; tuples of one group agree at every
+  // group-by position, so its first tuple names it.
+  uint64_t h = 0x96093ull;
+  for (size_t i = 0; i < spec_->fns.size(); ++i) {
+    if (spec_->fns[i] == AggFn::kNone) h = HashCombine(h, t->arg(i)->Hash());
+  }
+  auto same_group = [&](const Tuple* g) {
+    for (size_t i = 0; i < spec_->fns.size(); ++i) {
+      const Arg* a = g->arg(i);
+      const Arg* b = t->arg(i);
+      if (spec_->fns[i] == AggFn::kNone && a != b && !a->Equals(*b)) {
+        return false;
       }
     }
+    return true;
+  };
+  Group* group = nullptr;
+  for (auto [it, end] = index_.equal_range(h); it != end && !group; ++it) {
+    if (same_group(groups_[it->second].first)) group = &groups_[it->second];
   }
   if (group == nullptr) {
-    bucket.push_back(Group{std::move(key), {}});
-    group = &bucket.back();
-    group->states.resize(spec_->args.size());
-    group_order_.push_back(h);
+    index_.emplace(h, groups_.size());
+    group = &groups_.emplace_back(
+        Group{t, std::vector<AggState>(spec_->fns.size())});
   }
 
-  for (size_t i = 0; i < spec_->args.size(); ++i) {
-    const AggArgSpec& a = spec_->args[i];
-    if (a.fn == AggFn::kNone) continue;
+  for (size_t i = 0; i < spec_->fns.size(); ++i) {
+    const AggFn fn = spec_->fns[i];
+    if (fn == AggFn::kNone) continue;
     AggState& st = group->states[i];
-    const Arg* v = inputs[i];
-    switch (a.fn) {
+    const Arg* v = t->arg(i);
+    switch (fn) {
       case AggFn::kMin:
         if (st.best == nullptr || CompareArgs(v, st.best) < 0) st.best = v;
         break;
@@ -120,67 +112,59 @@ Status GroupAccumulator::Feed() {
 }
 
 StatusOr<std::vector<const Tuple*>> GroupAccumulator::Finish() {
+  CORAL_RETURN_IF_ERROR(status_);
   std::vector<const Tuple*> out;
-  // Emit groups in first-seen order; a hash may cover several groups, so
-  // walk each bucket once when its hash first appears in the order.
-  std::unordered_map<uint64_t, bool> emitted;
-  for (uint64_t h : group_order_) {
-    if (emitted[h]) continue;
-    emitted[h] = true;
-    for (Group& g : groups_[h]) {
-      std::vector<const Arg*> args;
-      size_t key_idx = 0;
-      bool skip_group = false;
-      for (size_t i = 0; i < spec_->args.size(); ++i) {
-        const AggArgSpec& a = spec_->args[i];
-        AggState& st = g.states[i];
-        switch (a.fn) {
-          case AggFn::kNone:
-            args.push_back(g.key[key_idx++]);
-            break;
-          case AggFn::kMin:
-          case AggFn::kMax:
-          case AggFn::kAny:
-            if (st.best == nullptr) {
-              skip_group = true;
-              break;
-            }
-            args.push_back(st.best);
-            break;
-          case AggFn::kCount:
-            args.push_back(factory_->MakeInt(st.count));
-            break;
-          case AggFn::kSum:
-            if (st.sum == nullptr) {
-              skip_group = true;
-              break;
-            }
-            args.push_back(st.sum);
-            break;
-          case AggFn::kAvg: {
-            if (st.sum == nullptr || st.count == 0) {
-              skip_group = true;
-              break;
-            }
-            const Arg* divargs[] = {
-                st.sum, factory_->MakeDouble(static_cast<double>(st.count))};
-            CORAL_ASSIGN_OR_RETURN(
-                TermRef r, EvalArith(factory_->MakeFunctor("/", divargs),
-                                     nullptr, factory_));
-            args.push_back(r.term);
+  for (Group& g : groups_) {
+    std::vector<const Arg*> args;
+    bool skip_group = false;
+    for (size_t i = 0; i < spec_->fns.size(); ++i) {
+      AggState& st = g.states[i];
+      switch (spec_->fns[i]) {
+        case AggFn::kNone:
+          args.push_back(g.first->arg(i));
+          break;
+        case AggFn::kMin:
+        case AggFn::kMax:
+        case AggFn::kAny:
+          if (st.best == nullptr) {
+            skip_group = true;
             break;
           }
-          case AggFn::kSetOf:
-            args.push_back(factory_->MakeSet(st.collected));
+          args.push_back(st.best);
+          break;
+        case AggFn::kCount:
+          args.push_back(factory_->MakeInt(st.count));
+          break;
+        case AggFn::kSum:
+          if (st.sum == nullptr) {
+            skip_group = true;
             break;
+          }
+          args.push_back(st.sum);
+          break;
+        case AggFn::kAvg: {
+          if (st.sum == nullptr || st.count == 0) {
+            skip_group = true;
+            break;
+          }
+          const Arg* divargs[] = {
+              st.sum, factory_->MakeDouble(static_cast<double>(st.count))};
+          CORAL_ASSIGN_OR_RETURN(
+              TermRef r, EvalArith(factory_->MakeFunctor("/", divargs),
+                                   nullptr, factory_));
+          args.push_back(r.term);
+          break;
         }
-        if (skip_group) break;
+        case AggFn::kSetOf:
+          args.push_back(factory_->MakeSet(st.collected));
+          break;
       }
-      if (!skip_group) out.push_back(factory_->MakeTuple(args));
+      if (skip_group) break;
     }
+    if (!skip_group) out.push_back(factory_->MakeTuple(args));
   }
   groups_.clear();
-  group_order_.clear();
+  index_.clear();
   return out;
 }
 

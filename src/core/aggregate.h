@@ -3,6 +3,8 @@
 // Fig. 3): heads like s(X, min(<C>)) or children(X, <Y>) group body
 // solutions by the non-aggregated head arguments and fold the grouped
 // variable with min/max/sum/count/avg/any, or collect it into a set term.
+// Aggregation is a sink over head tuples, so it is the same whichever
+// engine enumerated the body.
 
 #ifndef CORAL_CORE_AGGREGATE_H_
 #define CORAL_CORE_AGGREGATE_H_
@@ -10,40 +12,38 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/data/unify.h"
 #include "src/lang/ast.h"
 #include "src/util/status.h"
+#include "src/vm/vm.h"
 
 namespace coral {
 
-/// Per-head-argument aggregation role.
-struct AggArgSpec {
-  AggFn fn = AggFn::kNone;     // kNone: plain group-by argument
-  const Arg* term = nullptr;   // the original head argument term
-  const Arg* var = nullptr;    // grouped variable (aggregate args only)
-};
-
 /// Analysis of a rule head's aggregation structure.
 struct AggHeadSpec {
-  bool is_aggregate = false;
-  std::vector<AggArgSpec> args;
+  /// Per head argument; AggFn::kNone marks a group-by argument.
+  std::vector<AggFn> fns;
+  /// The head both engines project each body solution to before
+  /// aggregation: the group-by arguments as written and the grouped term
+  /// at each aggregate position (s(X, min(<C>)) projects s(X, C)).
+  std::vector<const Arg*> pre_head;
 };
 
 /// Recognizes min(<C>), sum(<X>), bare <X> (set-of), etc.
 AggHeadSpec AnalyzeAggHead(const Literal& head);
 
-/// Accumulates body solutions and emits one tuple per group.
-class GroupAccumulator {
+/// The sink an aggregate rule's engine feeds: groups pre-aggregation head
+/// tuples by their group-by columns and folds the values at the aggregate
+/// positions. Emit never reports a change; the grouped tuples come from
+/// Finish.
+class GroupAccumulator : public vm::TupleSink {
  public:
-  GroupAccumulator(const AggHeadSpec* spec, BindEnv* env,
-                   TermFactory* factory)
-      : spec_(spec), env_(env), factory_(factory) {}
+  GroupAccumulator(const AggHeadSpec* spec, TermFactory* factory)
+      : spec_(spec), factory_(factory) {}
 
-  /// Records the current solution (bindings live in the env the spec's
-  /// terms are scoped by).
-  Status Feed();
+  bool Emit(const Tuple* t) override;
 
-  /// Builds the grouped head tuples. The accumulator is spent afterwards.
+  /// Builds the grouped head tuples, or returns the first error a fed
+  /// tuple raised. The accumulator is spent afterwards.
   StatusOr<std::vector<const Tuple*>> Finish();
 
  private:
@@ -54,15 +54,17 @@ class GroupAccumulator {
     std::vector<const Arg*> collected;  // set-of
   };
   struct Group {
-    std::vector<const Arg*> key;   // resolved group-by values (positional)
-    std::vector<AggState> states;  // one per aggregate position
+    const Tuple* first;            // the first tuple fed to the group
+    std::vector<AggState> states;  // one per head position
   };
 
+  Status Feed(const Tuple* t);
+
   const AggHeadSpec* spec_;
-  BindEnv* env_;
   TermFactory* factory_;
-  std::unordered_map<uint64_t, std::vector<Group>> groups_;
-  std::vector<uint64_t> group_order_;  // hashes in first-seen order
+  Status status_;  // first Feed error
+  std::vector<Group> groups_;  // in first-seen order
+  std::unordered_multimap<uint64_t, size_t> index_;  // group-by hash
 };
 
 }  // namespace coral

@@ -12,10 +12,10 @@ namespace coral {
 
 Status BuiltinRegistry::Register(const std::string& name, uint32_t arity,
                                  BuiltinEntry entry) {
-  std::string key = name + "/" + std::to_string(arity);
   MutexLock lock(&mu_);
-  if (!entries_.emplace(key, std::move(entry)).second) {
-    return Status::AlreadyExists("predicate " + key +
+  if (!entries_.emplace(std::tuple(name, arity), std::move(entry)).second) {
+    return Status::AlreadyExists("predicate " + name + "/" +
+                                 std::to_string(arity) +
                                  " is already a builtin");
   }
   return Status::OK();
@@ -23,9 +23,8 @@ Status BuiltinRegistry::Register(const std::string& name, uint32_t arity,
 
 const BuiltinEntry* BuiltinRegistry::Lookup(const std::string& name,
                                             uint32_t arity) const {
-  std::string key = name + "/" + std::to_string(arity);
   MutexLock lock(&mu_);
-  auto it = entries_.find(key);
+  auto it = entries_.find(std::tie(name, arity));
   return it == entries_.end() ? nullptr : &it->second;
 }
 

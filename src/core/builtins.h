@@ -9,10 +9,11 @@
 #define CORAL_CORE_BUILTINS_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <tuple>
 
 #include "src/data/term_factory.h"
 #include "src/data/unify.h"
@@ -73,8 +74,10 @@ class BuiltinRegistry {
  private:
   // A leaf lock: held only for one map operation.
   mutable Mutex mu_;
-  std::unordered_map<std::string, BuiltinEntry> entries_
-      CORAL_GUARDED_BY(mu_);  // key "name/arity"
+  // Keyed by (name, arity); std::less<> lets a lookup compare against
+  // references to its arguments, so no key is built per call.
+  std::map<std::tuple<std::string, uint32_t>, BuiltinEntry, std::less<>>
+      entries_ CORAL_GUARDED_BY(mu_);
 };
 
 /// Evaluates `t` under `env` as an arithmetic expression when it is one:

@@ -187,11 +187,13 @@ class Database {
 
   // ---- join bytecode VM (docs/VM.md) ----
   /// When on (the default), eligible rewritten rule versions run on the
-  /// join bytecode VM; ineligible shapes (aggregates, negation, ordered
-  /// search, cross-module literals, ...) and modules annotated @no_vm
-  /// stay on the interpreting ResolveTuple path, which remains the
-  /// semantic oracle. Takes effect at the next module activation — the
-  /// compiled bytecode is cached with the query form either way.
+  /// join bytecode VM; ineligible shapes (negation, ordered search,
+  /// cross-module literals, ...), applications over inputs that may hold
+  /// non-ground tuples and modules annotated @no_vm run on the
+  /// interpreting ResolveTuple path. The oracle for both engines is the
+  /// reference fixpoint in tests/differential_test.cc. Takes effect at
+  /// the next module activation — the compiled bytecode is cached with
+  /// the query form either way.
   void set_use_vm(bool on) { use_vm_ = on; }
   bool use_vm() const { return use_vm_; }
 

@@ -2,7 +2,9 @@
 // Predicate Semi-Naive and Naive drivers over the compiled SCC plans
 // (paper §4.2, §5.3).
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_set>
@@ -45,17 +47,14 @@ void FlushVmOps(obs::VmCounters* c, const vm::OpCounts& o) {
 
 }  // namespace
 
-vm::RunResult MaterializedInstance::ExecuteVm(const vm::RunInput& in,
-                                              vm::TupleSink* sink,
-                                              vm::RunStats* rst) const {
-  vm::RunResult r = vm::Execute(in, sink, rst);
+Status MaterializedInstance::ExecuteVm(const vm::RunInput& in,
+                                       vm::TupleSink* sink,
+                                       vm::RunStats* rst) const {
+  Status st = vm::Execute(in, sink, rst);
   obs::VmCounters* vc = db_->vm_counters();
   vc->applications.fetch_add(1, std::memory_order_relaxed);
   FlushVmOps(vc, rst->ops);
-  if (r != vm::RunResult::kOk) {
-    vc->runtime_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
-  return r;
+  return st;
 }
 
 std::pair<Mark, Mark> MaterializedInstance::WindowFor(size_t scc_idx,
@@ -314,17 +313,28 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
     }
   }
 
-  bool changed = false;
-  bool vm_done = false;
-  uint64_t probes = 0;
-  uint64_t obs_derived = 0;
+  // The engine is chosen once, before the application starts: the VM
+  // when a program is bound and no input may hold a non-ground tuple,
+  // else the interpreter. Both read the windows above, and an aggregate
+  // head is one sink either engine feeds.
+  const VmBoundRule* vb = VmRuleFor(scc_idx, v.evaluate_once, version_idx);
+  if (vb != nullptr &&
+      std::any_of(vb->rels.begin(), vb->rels.end(),
+                  [](const Relation* r) { return r->MayHoldNonGround(); })) {
+    db_->vm_counters()->runtime_fallbacks.fetch_add(
+        1, std::memory_order_relaxed);
+    vb = nullptr;
+  }
+  std::optional<GroupAccumulator> acc;
+  vm::TupleSink* head_sink = sink;
+  if (v.is_aggregate) {
+    // RunIterationParallel keeps aggregate versions off the workers.
+    head_sink = &acc.emplace(AggSpecFor(v.rule_index), db_->factory());
+  }
 
-  // Join bytecode first; on kFallback the interpreter below re-runs the
-  // application (tuples the VM already emitted are deduplicated by the
-  // head relation or the worker buffer, so the re-run is idempotent —
-  // bind-time checks exclude multiset heads).
-  if (const VmBoundRule* vb =
-          VmRuleFor(scc_idx, v.evaluate_once, version_idx)) {
+  bool changed = false;
+  uint64_t probes = 0;
+  if (vb != nullptr) {
     std::vector<vm::LevelInput> inputs(vb->rels.size());
     for (size_t li = 0; li < inputs.size(); ++li) {
       inputs[li].rel = vb->rels[li];
@@ -342,22 +352,11 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
       in.part_count = part_count;
     }
     vm::RunStats rst;
-    vm::RunResult r = ExecuteVm(in, sink, &rst);
-    // Inserts made before a fallback stay, and the interpreter's re-run
-    // sees them as duplicates, so they must count as a change here.
+    CORAL_RETURN_IF_ERROR(ExecuteVm(in, head_sink, &rst));
     changed = rst.changed;
-    if (r == vm::RunResult::kOk) {
-      stats->solutions += rst.solutions;
-      probes = rst.tuples;
-      obs_derived = rst.solutions;
-      vm_done = true;
-    }
-    // On kFallback the VM's solution count is discarded — the
-    // interpreter re-counts from scratch, so stats match an
-    // interpreter-only run exactly.
-  }
-
-  if (!vm_done) {
+    stats->solutions += rst.solutions;
+    probes = rst.tuples;
+  } else {
     BindEnv env(rule.var_count);
     std::vector<std::unique_ptr<GoalSource>> sources;
     sources.reserve(rule.body.size());
@@ -373,61 +372,50 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
 
     RuleCursor cursor(std::move(sources), v.backtrack,
                       decl_->intelligent_backtracking, trail);
-    Status inner;
-
-    if (v.is_aggregate) {
-      // One accumulator over all body solutions; parallel_safe_ keeps
-      // aggregate versions off the workers.
-      GroupAccumulator acc(AggSpecFor(v.rule_index), &env, db_->factory());
-      while (cursor.Next()) {
-        ++stats->solutions;
-        inner = acc.Feed();
-        if (!inner.ok()) break;
+    PredRef head = rule.head.pred_ref();
+    const std::vector<const Arg*>& head_args =
+        acc ? AggSpecFor(v.rule_index)->pre_head : rule.head.args;
+    std::vector<TermRef> head_refs(head_args.size());
+    while (cursor.Next()) {
+      ++stats->solutions;
+      for (size_t i = 0; i < head_args.size(); ++i) {
+        head_refs[i] = {head_args[i], &env};
       }
-      cursor.UndoAll();
-      CORAL_RETURN_IF_ERROR(inner);
-      CORAL_RETURN_IF_ERROR(cursor.status());
-      CORAL_ASSIGN_OR_RETURN(std::vector<const Tuple*> tuples, acc.Finish());
-      obs_derived = tuples.size();
-      for (const Tuple* t : tuples) changed |= sink->Emit(t);
-    } else {
-      PredRef head = rule.head.pred_ref();
-      std::vector<TermRef> head_refs(rule.head.args.size());
-      while (cursor.Next()) {
-        ++stats->solutions;
-        for (size_t i = 0; i < rule.head.args.size(); ++i) {
-          head_refs[i] = {rule.head.args[i], &env};
-        }
-        const Tuple* t = ResolveTuple(head_refs, db_->factory());
-        bool inserted = sink->Emit(t);
-        changed |= inserted;
-        if (inserted && decl_->explain) {
-          // Explanation tool: record which body facts produced the head
-          // (sequential only: parallel_safe_ excludes @explain).
-          Derivation d;
-          d.head_pred = head;
-          d.head = t;
-          d.rule_index = v.rule_index;
-          for (const Literal& lit : rule.body) {
-            if (lit.negated) continue;
-            if (internal(lit.pred_ref()) == nullptr &&
-                db_->Resolve(lit.pred_ref()).kind == Definer::kBuiltin) {
-              continue;
-            }
-            std::vector<TermRef> refs;
-            refs.reserve(lit.args.size());
-            for (const Arg* a : lit.args) refs.push_back({a, &env});
-            d.body.emplace_back(lit.pred_ref(),
-                                ResolveTuple(refs, db_->factory()));
+      const Tuple* t = ResolveTuple(head_refs, db_->factory());
+      bool inserted = head_sink->Emit(t);
+      changed |= inserted;
+      if (inserted && decl_->explain) {
+        // Explanation tool: record which body facts produced the head
+        // (sequential only: parallel_safe_ excludes @explain).
+        Derivation d;
+        d.head_pred = head;
+        d.head = t;
+        d.rule_index = v.rule_index;
+        for (const Literal& lit : rule.body) {
+          if (lit.negated) continue;
+          if (internal(lit.pred_ref()) == nullptr &&
+              db_->Resolve(lit.pred_ref()).kind == Definer::kBuiltin) {
+            continue;
           }
-          derivations_.push_back(std::move(d));
+          std::vector<TermRef> refs;
+          refs.reserve(lit.args.size());
+          for (const Arg* a : lit.args) refs.push_back({a, &env});
+          d.body.emplace_back(lit.pred_ref(),
+                              ResolveTuple(refs, db_->factory()));
         }
+        derivations_.push_back(std::move(d));
       }
-      cursor.UndoAll();
-      CORAL_RETURN_IF_ERROR(cursor.status());
-      obs_derived = stats->solutions - obs_sols0;  // one head tuple each
     }
+    cursor.UndoAll();
+    CORAL_RETURN_IF_ERROR(cursor.status());
     probes = cursor.probes();
+  }
+
+  uint64_t obs_derived = stats->solutions - obs_sols0;  // one head each
+  if (acc) {
+    CORAL_ASSIGN_OR_RETURN(std::vector<const Tuple*> tuples, acc->Finish());
+    obs_derived = tuples.size();
+    for (const Tuple* t : tuples) changed |= sink->Emit(t);
   }
 
   if (rs != nullptr) {

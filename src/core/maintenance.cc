@@ -236,11 +236,7 @@ Status MaintenancePass::Join(const MaintProgram& mp, int delta_pos,
   in.factory = db_->factory();
   CallbackSink<F> sink(&on_head);
   vm::RunStats rst;
-  if (inst_->ExecuteVm(in, &sink, &rst) != vm::RunResult::kOk) {
-    return Status::Unsupported("maintenance: non-ground stored tuple in a " +
-                               prog.head_pred.ToString() + " join");
-  }
-  return Status::OK();
+  return inst_->ExecuteVm(in, &sink, &rst);
 }
 
 Status MaintenancePass::CompilePrograms() {
@@ -327,11 +323,10 @@ Status MaintenancePass::BuildCounts() {
       PredRef h = rule.head.pred_ref();
       auto& counts = inst_->support_counts_[h];
       if (rule.is_fact()) {
+        // A non-ground fact would be in its head relation, which
+        // CanMaintain refused.
         const Tuple* t = db_->factory()->MakeTuple(rule.head.args);
-        if (!t->IsGround()) {
-          return Status::Unsupported("maintenance: non-ground fact " +
-                                     rule.ToString());
-        }
+        CORAL_DCHECK(t->IsGround());
         ++counts[t];
         continue;
       }
@@ -703,7 +698,10 @@ bool MaterializedInstance::CanMaintain() const {
     }
   }
   for (const auto& [p, rel] : internal_) {
-    if (rel->multiset() || !rel->selections().empty()) return false;
+    if (rel->multiset() || !rel->selections().empty() ||
+        rel->MayHoldNonGround()) {
+      return false;
+    }
   }
   for (const Rule& r : prog_->rules) {
     for (const Literal& lit : r.body) {
@@ -717,6 +715,7 @@ bool MaterializedInstance::CanMaintain() const {
       }
       if (r.kind == Definer::kBase &&
           (r.base->multiset() || !r.base->selections().empty() ||
+           r.base->MayHoldNonGround() ||
            dynamic_cast<MemoryRelation*>(r.base) == nullptr)) {
         return false;
       }

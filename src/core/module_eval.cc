@@ -233,16 +233,13 @@ void MaterializedInstance::BindVmPrograms() {
   // run-time shape disagrees with what the compiler assumed: a body
   // predicate that now resolves to a builtin or another module's export
   // (the registries may have changed since the form compiled), or a head
-  // that is not a plain internal set relation. The interpreter restores
-  // full semantics for such rules; on mid-rule fallback the tuples the VM
-  // already inserted must be harmless to re-derive, hence the multiset
-  // and aggregate-selection head exclusions.
+  // that is not an internal relation. The interpreter runs such rules.
   auto bind = [&](const vm::RuleProgram* rp) {
     VmBoundRule b;
     if (rp == nullptr) return b;
     auto hit = internal_.find(rp->head_pred);
     HashRelation* head = hit == internal_.end() ? nullptr : hit->second.get();
-    if (head == nullptr || head->multiset() || !head->selections().empty()) {
+    if (head == nullptr) {
       db_->vm_counters()->bind_fallbacks.fetch_add(1,
                                                   std::memory_order_relaxed);
       return b;

@@ -110,7 +110,8 @@ class MaterializedInstance {
   /// maintenance algorithms: materialized Basic Semi-Naive save module,
   /// no Ordered Search / @explain, no negation, no aggregation (rule
   /// heads or selections), no multiset relations, no inter-module body
-  /// literals, and every stored body predicate an in-memory relation.
+  /// literals, every stored body predicate an in-memory relation, and no
+  /// relation that may hold a non-ground tuple.
   /// Uncovered shapes fall back to invalidation (the caller drops the
   /// instance); so do rules Maintain cannot compile to bytecode and an
   /// instance whose answers are being scanned.
@@ -128,9 +129,9 @@ class MaterializedInstance {
   /// frontier loop that closes insertions for recursive ones
   /// (docs/MAINTENANCE.md). The caller checked CanMaintain and
   /// serializes writers. Every join runs on the VM; a rule outside the
-  /// VM model or a non-ground stored tuple ends the pass with
-  /// Unsupported. On error the instance may be half-updated and MUST be
-  /// discarded.
+  /// VM model ends the pass with Unsupported, and a VM error (the query
+  /// deadline, a storage scan) ends it too. On error the instance may be
+  /// half-updated and MUST be discarded.
   Status Maintain(const UpdateDelta& delta, UpdateResult* result);
 
  private:
@@ -155,9 +156,10 @@ class MaterializedInstance {
   Status RunGlobalPass(bool* changed);
   /// The one rule-application path (paper §4.2, §5.3). Applies version
   /// `v` over the mark windows of `cur` (null: PSN and once rules; see
-  /// WindowFor), on the VM when a program is bound and through the
-  /// interpreter otherwise or on kFallback, and hands every derived head
-  /// tuple to `sink`. Parallel workers pass their share of a partitioned
+  /// WindowFor), on the VM when a program is bound and no input may hold
+  /// a non-ground tuple and through the interpreter otherwise, and hands
+  /// every derived head tuple to `sink` (an aggregate head's through a
+  /// GroupAccumulator). Parallel workers pass their share of a partitioned
   /// body scan (part_index < part_count) and their own trail and stats;
   /// sequential callers go through ApplyDirect. Returns whether any Emit
   /// reported a change.
@@ -207,13 +209,12 @@ class MaterializedInstance {
     HashRelation* head = nullptr;
   };
   /// vm::Execute plus the Database-wide VmCounters bookkeeping shared by
-  /// the fixpoint and maintenance: one application, its opcode counts,
-  /// and a runtime fallback on kFallback.
-  vm::RunResult ExecuteVm(const vm::RunInput& in, vm::TupleSink* sink,
-                          vm::RunStats* rst) const;
+  /// the fixpoint and maintenance: one application and its opcode counts.
+  Status ExecuteVm(const vm::RunInput& in, vm::TupleSink* sink,
+                   vm::RunStats* rst) const;
   /// Resolves relations for every compiled version; disqualifies rules
-  /// whose bind-time shape the VM cannot run (multiset or non-internal
-  /// head, literals that now resolve to module calls). Called from Init.
+  /// whose bind-time shape the VM cannot run (non-internal head, literals
+  /// that now resolve to builtins or module calls). Called from Init.
   void BindVmPrograms();
   /// The bound program for a version, or null (interpret).
   const VmBoundRule* VmRuleFor(size_t scc_idx, bool once,

@@ -15,9 +15,10 @@
 namespace coral::obs {
 
 struct VmCounters {
-  /// Rule applications executed by the VM (kOk and aborted alike).
+  /// Rule applications executed by the VM.
   std::atomic<uint64_t> applications{0};
-  /// Applications aborted to the interpreter (non-ground candidate).
+  /// Applications with a bound program that ran on the interpreter
+  /// because an input relation may hold a non-ground tuple.
   std::atomic<uint64_t> runtime_fallbacks{0};
   /// PROBE_INDEX executions that degraded to a full window scan because
   /// the planned argument index is absent on the bound relation.
@@ -31,8 +32,8 @@ struct VmCounters {
   std::atomic<uint64_t> verifier_rejected{0};
   /// Warning findings (CRL302 probe-without-index, CRL303 always-fail).
   std::atomic<uint64_t> verifier_warnings{0};
-  /// Rule versions the compiler skipped for shape reasons (aggregates,
-  /// negation, builtins the VM lacks, ...).
+  /// Rule versions the compiler skipped for shape reasons (negation,
+  /// builtins the VM lacks, ...).
   std::atomic<uint64_t> compile_skips{0};
   /// Compiled programs that failed to bind at activation time (head or
   /// body relation shape unsupported) and ran interpreted.

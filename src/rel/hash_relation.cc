@@ -36,6 +36,7 @@ void HashRelation::DoInsert(const Tuple* t) {
     ++ground_counts_[t];
   } else {
     nonground_live_.push_back(t);
+    nonground_seen_ = true;
   }
   for (auto& idx : indexes_) idx->Add(t, sub);
 }

@@ -8,6 +8,7 @@
 #ifndef CORAL_REL_HASH_RELATION_H_
 #define CORAL_REL_HASH_RELATION_H_
 
+#include <atomic>
 #include <memory>
 
 #include "src/rel/index.h"
@@ -69,6 +70,8 @@ class HashRelation : public MemoryRelation {
   /// system"), backfilling existing tuples.
   void AddCustomIndex(std::unique_ptr<Index> index);
 
+  bool MayHoldNonGround() const override { return nonground_seen_; }
+
   size_t index_count() const { return indexes_.size(); }
 
   /// True if an argument index on exactly `cols` exists.
@@ -93,6 +96,8 @@ class HashRelation : public MemoryRelation {
   std::unordered_map<const Tuple*, uint32_t> ground_counts_;
   // Live non-ground stored tuples, with repeats under multiset semantics.
   std::vector<const Tuple*> nonground_live_;
+  // Sticky. Atomic: ReadView readers load it while the writer inserts.
+  std::atomic<bool> nonground_seen_{false};
   // Indexes sorted by descending key width (most selective first).
   std::vector<std::unique_ptr<Index>> indexes_;
   std::vector<const ArgumentIndex*> argument_indexes_;

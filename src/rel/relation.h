@@ -133,6 +133,11 @@ class Relation {
     return false;
   }
 
+  /// False only when no tuple this relation ever held was non-ground, so
+  /// every window and snapshot of it is ground (the VM's precondition).
+  /// Kinds that do not track it answer true.
+  virtual bool MayHoldNonGround() const { return true; }
+
   /// Places a mark: subsequently inserted tuples are distinguishable from
   /// earlier ones. Returns the boundary.
   virtual Mark Snapshot() = 0;

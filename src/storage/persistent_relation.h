@@ -44,6 +44,7 @@ class PersistentRelation : public Relation {
 
   bool Contains(const Tuple* t) const override;
   size_t size() const override { return count_; }
+  bool MayHoldNonGround() const override { return false; }  // see CanStore
 
   /// Refuses non-storable tuples (paper §3.2) and any insert while the
   /// storage manager is read-only or has a latched I/O error. Defined in

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "src/core/aggregate.h"
 #include "src/vm/verifier.h"
 
 namespace coral::vm {
@@ -257,13 +258,16 @@ ModuleProgram CompileModule(const RewrittenProgram& prog,
             std::vector<std::unique_ptr<RuleProgram>>* table) {
           for (size_t vi = 0; vi < versions.size(); ++vi) {
             const RuleVersion& v = versions[vi];
-            CompiledRule c;
+            // An aggregate version projects its pre-aggregation head; the
+            // fixpoint's GroupAccumulator folds what it emits.
+            Rule projected;
             if (v.is_aggregate) {
-              c.why = "aggregate head";
-            } else {
-              c = CompileRule(prog.rules[v.rule_index], v.rule_index,
-                              v.ranges, internal, env);
+              projected = prog.rules[v.rule_index];
+              projected.head.args = AnalyzeAggHead(projected.head).pre_head;
             }
+            CompiledRule c = CompileRule(
+                v.is_aggregate ? projected : prog.rules[v.rule_index],
+                v.rule_index, v.ranges, internal, env);
             listing << "scc " << si << " " << kind << " " << vi;
             if (c.prog != nullptr) {
               ++out.verified;

@@ -2,9 +2,9 @@
 // Lowers rewritten semi-naive rule versions into join bytecode. The
 // compiler is conservative: any rule shape outside the VM's model
 // (negation, cross-module literals, non-comparison builtins, non-ground
-// structured arguments, aggregate heads) compiles to "interpreted" and
-// the classic ResolveTuple path runs it — the interpreter stays the
-// semantic oracle (docs/VM.md).
+// structured arguments) compiles to "interpreted" and the classic
+// ResolveTuple path runs it. An aggregate version compiles against its
+// pre-aggregation head; the fixpoint groups what it emits (docs/VM.md).
 
 #ifndef CORAL_VM_COMPILER_H_
 #define CORAL_VM_COMPILER_H_

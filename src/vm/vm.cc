@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "src/core/builtins.h"
+#include "src/core/eval_context.h"
 #include "src/rel/partition.h"
+#include "src/util/logging.h"
 
 namespace coral::vm {
 
@@ -23,8 +25,9 @@ class Executor {
         cand_(prog_.levels.size()),
         head_buf_(prog_.head.size(), nullptr) {}
 
-  RunResult Run() {
-    return RunLevel(0) ? RunResult::kOk : RunResult::kFallback;
+  Status Run() {
+    RunLevel(0);
+    return std::move(status_);
   }
 
  private:
@@ -53,11 +56,15 @@ class Executor {
     return false;
   }
 
-  /// One candidate at level `li`. Returns false only on fallback-abort;
-  /// a failed check just skips the candidate.
+  /// One candidate at level `li`. Returns false only when status_ stops
+  /// the application; a failed check just skips the candidate.
   bool Step(const Level& lv, size_t li, const Tuple* t, bool part_here) {
-    ++st_->tuples;
-    if (!t->IsGround()) return false;
+    // Deadline poll, amortized over 1,024 candidates like RuleCursor's.
+    if ((++st_->tuples & 1023u) == 0) {
+      status_ = CheckEvalDeadline();
+      if (!status_.ok()) return false;
+    }
+    CORAL_DCHECK(t->IsGround());
     if (part_here &&
         PartitionKey(t, in_.part_col) % in_.part_count != in_.part_index) {
       return true;
@@ -151,9 +158,8 @@ class Executor {
     while (const Tuple* t = it->Next()) {
       if (!skipped(t) && !Step(lv, li, t, part_here)) return false;
     }
-    // A failing storage scan falls back too: the caller re-runs or
-    // abandons the application and surfaces the error.
-    return it->status().ok();
+    if (!it->status().ok()) status_ = it->status();
+    return status_.ok();
   }
 
   const RunInput& in_;
@@ -164,11 +170,12 @@ class Executor {
   std::vector<std::vector<const Tuple*>> cand_;
   std::vector<const Arg*> head_buf_;
   std::vector<const Arg*> key_buf_;
+  Status status_;
 };
 
 }  // namespace
 
-RunResult Execute(const RunInput& in, TupleSink* sink, RunStats* out) {
+Status Execute(const RunInput& in, TupleSink* sink, RunStats* out) {
   return Executor(in, sink, out).Run();
 }
 

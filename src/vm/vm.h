@@ -2,9 +2,10 @@
 // The join bytecode executor: a nested-loops join over the Levels of a
 // RuleProgram with a flat register file of canonical ground Args. No
 // BindEnv, no trail, no unification on the hot path — every match is a
-// pointer comparison (docs/VM.md). Any tuple the VM cannot handle
-// (non-ground stored facts) aborts the application; the caller decides
-// what runs instead (see RunResult::kFallback).
+// pointer comparison (docs/VM.md). The caller runs a program only over
+// inputs that cannot hold a non-ground tuple (Relation::MayHoldNonGround),
+// so an application, once started, finishes on the VM or stops with an
+// error.
 
 #ifndef CORAL_VM_VM_H_
 #define CORAL_VM_VM_H_
@@ -41,16 +42,6 @@ class TupleSink {
  public:
   virtual ~TupleSink() = default;
   virtual bool Emit(const Tuple* t) = 0;
-};
-
-enum class RunResult {
-  kOk,
-  /// A stored candidate tuple was non-ground (or a storage scan failed):
-  /// the fixpoint re-runs this rule application through the interpreter
-  /// (tuples already emitted stay — head relations accepted by the
-  /// compiler are duplicate-eliminating, so the re-run is idempotent);
-  /// a maintenance pass gives up and the instance is invalidated.
-  kFallback,
 };
 
 /// What one body level reads. The fixpoint passes a relation and a mark
@@ -90,7 +81,10 @@ struct RunStats {
   OpCounts ops;
 };
 
-RunResult Execute(const RunInput& in, TupleSink* sink, RunStats* out);
+/// Runs one application. Returns OK, or the error that stopped it: a
+/// failed storage scan, or kDeadlineExceeded from the query deadline,
+/// polled every 1,024 candidate tuples as the interpreter polls it.
+Status Execute(const RunInput& in, TupleSink* sink, RunStats* out);
 
 }  // namespace coral::vm
 

@@ -591,6 +591,9 @@ void RunAggregateDifferential(uint64_t seed, int threads,
       groups[f.first].push_back(f.second);
     }
     std::map<int, int64_t> folds;
+    // The aggregate versions compile and run on the VM: its application
+    // count grows across the bound-key queries.
+    const uint64_t apps0 = db.vm_counters()->applications.load();
     for (auto& [key, vals] : groups) {
       int64_t want = 0;
       switch (fn[d]) {
@@ -610,6 +613,15 @@ void RunAggregateDifferential(uint64_t seed, int threads,
       EXPECT_EQ(res->rows[0].ToString(), "V = " + std::to_string(want))
           << "agg fn " << kFns[fn[d]] << " key " << key << " seed " << seed
           << "\n" << text;
+    }
+    if (!groups.empty()) {
+      EXPECT_GT(db.vm_counters()->applications.load(), apps0)
+          << "agg" << d << " seed " << seed;
+      auto plan = db.PlanListing("gen", "agg" + std::to_string(d), "bf");
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_NE(plan->find("head agg" + std::to_string(d) + "@bf/2"),
+                std::string::npos)
+          << *plan;
     }
     // No phantom groups.
     auto all = db.EvalQuery("agg" + std::to_string(d) + "(X, V)");

@@ -1,14 +1,18 @@
 // Tests for the join bytecode VM (docs/VM.md): golden disassembly of the
-// canonical recursive programs, hand-stepped opcode counters, the
-// interpreter-fallback paths (aggregates, ordered search, negation,
-// @no_vm, set_use_vm, run-time aborts), and probe-to-scan degradation when a planned
-// argument index is absent.
+// canonical recursive programs, hand-stepped opcode counters, aggregate,
+// multiset and aggregate-selection heads on the VM, the interpreter paths
+// (ordered search, negation, non-ground inputs, @no_vm, set_use_vm), the
+// query deadline, and probe-to-scan degradation when a planned argument
+// index is absent.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/core/database.h"
+#include "src/core/session.h"
 #include "src/vm/bytecode.h"
 
 namespace coral {
@@ -317,7 +321,7 @@ TEST(VmExecutionTrace, ComparisonBuiltinCounters) {
 // the interpreter
 // ---------------------------------------------------------------------
 
-TEST(VmFallback, AggregateRuleInterpreted) {
+TEST(VmAggregate, SumHeadRunsCompiled) {
   Database db;
   auto st = db.Consult(R"(
     module ag.
@@ -331,9 +335,12 @@ TEST(VmFallback, AggregateRuleInterpreted) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   ASSERT_EQ(res->rows.size(), 1u);
   EXPECT_EQ(res->rows[0].ToString(), "V = 5");
-  EXPECT_NE(BytecodeSection(&db, "ag", "s", "bf")
-                .find("interpreted: aggregate head"),
-            std::string::npos);
+  // The version projects the pre-aggregation head s(X, Y); the fixpoint
+  // folds what it emits.
+  const std::string listing = BytecodeSection(&db, "ag", "s", "bf");
+  EXPECT_EQ(listing.find("interpreted"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("head s@bf/2"), std::string::npos) << listing;
+  EXPECT_GT(Count(db.vm_counters()->applications), 0u);
 }
 
 TEST(VmFallback, OrderedSearchModuleInterpreted) {
@@ -460,11 +467,11 @@ TEST(VmFallback, ProbeDegradesToScanWithoutIndex) {
   EXPECT_EQ(Count(c.probe_scan_fallbacks), Count(c.scan_full) - 1);
 }
 
-TEST(VmFallback, RuntimeFallbackKeepsInsertsAsChange) {
-  // f's non-ground fact puts tc(X, nowhere) into tc's delta. The VM
-  // inserts new pairs and then aborts on that tuple; the interpreter's
-  // re-run finds those pairs already present. The iteration must still
-  // count as a change, or the fixpoint stops short (8 answers, not 11).
+TEST(VmFallback, NonGroundInputRunsInterpretedFromStart) {
+  // f's non-ground fact sends the f rule to the interpreter, which puts
+  // tc(X, nowhere) into tc: every later application that reads tc runs
+  // on the interpreter from the start, and the fixpoint still finds all
+  // 11 answers.
   Database db;
   auto st = db.Consult(R"(
     module m.
@@ -481,6 +488,110 @@ TEST(VmFallback, RuntimeFallbackKeepsInsertsAsChange) {
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res->rows.size(), 11u);
   EXPECT_GT(Count(db.vm_counters()->runtime_fallbacks), 0u);
+}
+
+// The answers of `query` as sorted row strings.
+std::vector<std::string> SortedRows(Database* db, const std::string& query) {
+  auto res = db->EvalQuery(query);
+  EXPECT_TRUE(res.ok()) << query << ": " << res.status().ToString();
+  std::vector<std::string> rows;
+  if (!res.ok()) return rows;
+  for (const AnswerRow& row : res->rows) rows.push_back(row.ToString());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(VmHeads, MultisetAndSelectionHeadsRunOnTheVm) {
+  // A multiset head keeps one copy per derivation and an aggregate
+  // selection discards dominated tuples; the count rules observe the
+  // stored copies. Both run on the VM and match the interpreter.
+  const char* kText = R"(
+    module ms.
+    export result(ff). export copies(f).
+    @no_rewriting.
+    @multiset result.
+    result(X, Y) :- r(X), s(Y).
+    result(X, Y) :- t(X, Y).
+    copies(count(<X>)) :- result(X, Y).
+    end_module.
+    module sel.
+    export best(ff). export kept(f).
+    @no_rewriting.
+    @aggregate_selection best(X, C) (X) min(C).
+    best(X, C) :- cost(X, C).
+    kept(count(<X>)) :- best(X, C).
+    end_module.
+    r(1). r(2). s(2). t(1, 2). t(2, 2).
+    cost(a, 3). cost(a, 1). cost(a, 2). cost(b, 5).
+  )";
+  Database vm_db;
+  Database interp_db;
+  interp_db.set_use_vm(false);
+  for (Database* db : {&vm_db, &interp_db}) {
+    auto st = db->Consult(kText);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+  }
+  for (const char* q : {"result(X, Y)", "copies(N)", "best(X, C)",
+                        "kept(N)"}) {
+    EXPECT_EQ(SortedRows(&vm_db, q), SortedRows(&interp_db, q)) << q;
+  }
+  EXPECT_EQ(SortedRows(&vm_db, "copies(N)"),
+            std::vector<std::string>{"N = 4"});
+  EXPECT_EQ(SortedRows(&vm_db, "best(X, C)"),
+            (std::vector<std::string>{"X = a, C = 1", "X = b, C = 5"}));
+  EXPECT_EQ(SortedRows(&vm_db, "kept(N)"), std::vector<std::string>{"N = 2"});
+  EXPECT_GT(Count(vm_db.vm_counters()->applications), 0u);
+  EXPECT_EQ(Count(vm_db.vm_counters()->bind_fallbacks), 0u);
+  EXPECT_EQ(Count(vm_db.vm_counters()->runtime_fallbacks), 0u);
+  EXPECT_EQ(Count(interp_db.vm_counters()->applications), 0u);
+}
+
+TEST(VmAggregate, FoldsOverANonGroundFact) {
+  // t(X, 7) is non-ground: the aggregate rules run on the interpreter
+  // and group the fact under its own variable key.
+  Database db;
+  auto st = db.Consult(R"(
+    module ag.
+    export total(ff). export n(ff). export all(ff).
+    @no_rewriting.
+    total(X, sum(<Y>)) :- t(X, Y).
+    n(X, count(<Y>)) :- t(X, Y).
+    all(X, <Y>) :- t(X, Y).
+    end_module.
+    t(1, 2). t(1, 3). t(2, 5). t(X, 7).
+  )");
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  EXPECT_EQ(SortedRows(&db, "total(X, S)"),
+            (std::vector<std::string>{"X = 1, S = 5", "X = 2, S = 5",
+                                      "X = _0, S = 7"}));
+  EXPECT_EQ(SortedRows(&db, "n(X, N)"),
+            (std::vector<std::string>{"X = 1, N = 2", "X = 2, N = 1",
+                                      "X = _0, N = 1"}));
+  EXPECT_EQ(SortedRows(&db, "all(X, S)"),
+            (std::vector<std::string>{"X = 1, S = {2,3}", "X = 2, S = {5}",
+                                      "X = _0, S = {7}"}));
+  EXPECT_GT(Count(db.vm_counters()->runtime_fallbacks), 0u);
+}
+
+TEST(VmDeadline, QueryDeadlineStopsAVmApplication) {
+  // 10^8 candidate tuples and no answer: without a poll the VM finishes
+  // the join whatever the deadline.
+  Database db;
+  std::string text = R"(
+    module big.
+    export p(f).
+    p(X) :- a(X), a(Y), a(Z), a(W), b(V), W > V.
+    end_module.
+    b(1000).
+  )";
+  for (int i = 0; i < 100; ++i) text += "a(" + std::to_string(i) + ").\n";
+  ASSERT_TRUE(db.Consult(text).ok());
+  Session session(&db, /*deadline_ms=*/100);
+  auto res = session.EvalQuery("p(X)");
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kDeadlineExceeded)
+      << res.status().ToString();
+  EXPECT_GT(Count(db.vm_counters()->applications), 0u);
 }
 
 // ---------------------------------------------------------------------
