@@ -187,10 +187,10 @@ class Database {
 
   // ---- join bytecode VM (docs/VM.md) ----
   /// When on (the default), eligible rewritten rule versions run on the
-  /// join bytecode VM; ineligible shapes (negation, ordered search,
-  /// cross-module literals, ...), applications over inputs that may hold
-  /// non-ground tuples and modules annotated @no_vm run on the
-  /// interpreting ResolveTuple path. The oracle for both engines is the
+  /// join bytecode VM; ineligible shapes (negation, cross-module
+  /// literals, ...), applications over inputs that may hold non-ground
+  /// tuples and modules annotated @no_vm run on the interpreting
+  /// ResolveTuple path. The oracle for both engines is the
   /// reference fixpoint in tests/differential_test.cc. Takes effect at
   /// the next module activation — the compiled bytecode is cached with
   /// the query form either way.

@@ -97,58 +97,36 @@ StatusOr<std::unique_ptr<GoalSource>> MaterializedInstance::MakeSource(
   return db_->OpenGoal(lit, env);
 }
 
-bool MaterializedInstance::HeadInsert(const PredRef& pred, const Tuple* t) {
-  // Under Ordered Search, magic facts are intercepted into staging: the
-  // context decides when a subgoal becomes available (paper §5.4.1).
-  if (prog_->ordered_search) {
-    if (Relation* stage = staging(pred)) {
-      bool inserted = stage->Insert(t);
-      if (inserted) ++stats_.inserts;
-      return inserted;
-    }
+MaterializedInstance::HeadSink::HeadSink(MaterializedInstance* self,
+                                         const PredRef& pred,
+                                         HashRelation* rel)
+    : self_(self),
+      pred_(pred),
+      rel_(rel),
+      trace_(self->trace_ != nullptr && self->staging_.count(pred) == 0
+                 ? self->trace_
+                 : nullptr) {}
+
+bool MaterializedInstance::HeadSink::Emit(const Tuple* t) {
+  if (!rel_->Insert(t)) return false;
+  ++self_->stats_.inserts;
+  if (trace_ != nullptr) {
+    obs::TraceEvent ev;
+    ev.kind = obs::TraceKind::kInsert;
+    ev.module = self_->decl_->name;
+    ev.pred = self_->DisplayName(pred_);
+    ev.detail = t->ToString();
+    trace_->Emit(ev);
   }
-  Relation* rel = internal(pred);
-  CORAL_CHECK(rel != nullptr) << pred.ToString();
-  bool inserted = rel->Insert(t);
-  if (inserted) {
-    ++stats_.inserts;
-    if (trace_ != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::TraceKind::kInsert;
-      ev.module = decl_->name;
-      ev.pred = DisplayName(pred);
-      ev.detail = t->ToString();
-      trace_->Emit(ev);
-    }
-  }
-  return inserted;
+  return true;
 }
 
-// Head sink of sequential applications. The head relation was resolved
-// once at bind time; re-resolving it by PredRef hash on every solution
-// showed up in profiles. Tracing still needs HeadInsert's event emission,
-// and ordered-search modules never compile, so with a bound head the
-// staging intercept is unreachable.
-class MaterializedInstance::DirectInsertSink : public vm::TupleSink {
- public:
-  DirectInsertSink(MaterializedInstance* self, PredRef head,
-                   HashRelation* bound_head)
-      : self_(self), head_(head), hrel_(bound_head) {}
-
-  bool Emit(const Tuple* t) override {
-    if (hrel_ != nullptr) {
-      if (!hrel_->Insert(t)) return false;
-      ++self_->stats_.inserts;
-      return true;
-    }
-    return self_->HeadInsert(head_, t);
-  }
-
- private:
-  MaterializedInstance* self_;
-  PredRef head_;
-  HashRelation* hrel_;  // non-null: skip the per-solution PredRef lookup
-};
+MaterializedInstance::HeadSink MaterializedInstance::SinkFor(
+    const PredRef& pred) {
+  HashRelation* rel = HeadRelation(pred);
+  CORAL_CHECK(rel != nullptr) << pred.ToString();
+  return HeadSink(this, pred, rel);
+}
 
 namespace {
 
@@ -167,7 +145,7 @@ class WorkerBufferSink : public vm::TupleSink {
 
   bool Emit(const Tuple* t) override {
     if (prefilter_ && hrel_->Contains(t)) return false;
-    buffer_->Add(hrel_, t, /*dedup=*/!hrel_->multiset());
+    buffer_->Add(t, /*dedup=*/!hrel_->multiset());
     return false;
   }
 
@@ -175,6 +153,37 @@ class WorkerBufferSink : public vm::TupleSink {
   HashRelation* hrel_;
   InsertBuffer* buffer_;
   bool prefilter_;
+};
+
+// The Explanation tool (@explain): wraps the head sink and records which
+// body facts produced each head it inserts. Before each Emit the engine
+// stores in slots()[k] the tuple that the k-th recorded literal matched.
+class DerivationSink : public vm::TupleSink {
+ public:
+  /// `proto` names the head predicate, the rule and each recorded body
+  /// literal's predicate.
+  DerivationSink(vm::TupleSink* inner, std::vector<Derivation>* out,
+                 Derivation proto)
+      : inner_(inner),
+        out_(out),
+        proto_(std::move(proto)),
+        slots_(proto_.body.size(), nullptr) {}
+
+  const Tuple** slots() { return slots_.data(); }
+
+  bool Emit(const Tuple* t) override {
+    if (!inner_->Emit(t)) return false;
+    Derivation& d = out_->emplace_back(proto_);
+    d.head = t;
+    for (size_t k = 0; k < slots_.size(); ++k) d.body[k].second = slots_[k];
+    return true;
+  }
+
+ private:
+  vm::TupleSink* inner_;
+  std::vector<Derivation>* out_;
+  Derivation proto_;
+  std::vector<const Tuple*> slots_;
 };
 
 }  // namespace
@@ -230,11 +239,7 @@ StatusOr<bool> MaterializedInstance::ApplyDirect(size_t scc_idx,
                                                  const RuleVersion& v,
                                                  bool naive_override,
                                                  const MarkMap* cur) {
-  const VmBoundRule* vb =
-      VmRuleFor(scc_idx, v.evaluate_once, VersionIndex(scc_idx, v));
-  DirectInsertSink sink(
-      this, prog_->rules[v.rule_index].head.pred_ref(),
-      trace_ == nullptr && vb != nullptr ? vb->head : nullptr);
+  HeadSink sink = SinkFor(prog_->rules[v.rule_index].head.pred_ref());
   return ApplyVersion(scc_idx, v, naive_override, cur, 0, 1, &trail_,
                       &stats_, &sink);
 }
@@ -326,10 +331,29 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
     vb = nullptr;
   }
   std::optional<GroupAccumulator> acc;
+  std::optional<DerivationSink> rec;
+  std::vector<uint32_t> recorded;  // body positions a derivation records
   vm::TupleSink* head_sink = sink;
   if (v.is_aggregate) {
     // RunIterationParallel keeps aggregate versions off the workers.
     head_sink = &acc.emplace(AggSpecFor(v.rule_index), db_->factory());
+  } else if (decl_->explain) {
+    // Derivations record the body's relation literals: the VM's levels,
+    // which the interpreter's positive non-builtin literals match
+    // (sequential only: parallel_safe_ excludes @explain).
+    for (uint32_t i = 0; i < rule.body.size(); ++i) {
+      const Literal& lit = rule.body[i];
+      if (!lit.negated && (internal(lit.pred_ref()) != nullptr ||
+                           db_->Resolve(lit.pred_ref()).kind !=
+                               Definer::kBuiltin)) {
+        recorded.push_back(i);
+      }
+    }
+    Derivation proto{rule.head.pred_ref(), nullptr, v.rule_index, {}};
+    for (uint32_t pos : recorded) {
+      proto.body.emplace_back(rule.body[pos].pred_ref(), nullptr);
+    }
+    head_sink = &rec.emplace(sink, &derivations_, std::move(proto));
   }
 
   bool changed = false;
@@ -345,6 +369,10 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
     in.prog = vb->prog;
     in.levels = inputs;
     in.factory = db_->factory();
+    if (rec) {
+      CORAL_DCHECK(recorded.size() == inputs.size());  // one per level
+      in.matched = rec->slots();
+    }
     if (plit >= 0) {
       in.part_lit = plit;
       in.part_col = part.col;
@@ -372,39 +400,25 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
 
     RuleCursor cursor(std::move(sources), v.backtrack,
                       decl_->intelligent_backtracking, trail);
-    PredRef head = rule.head.pred_ref();
-    const std::vector<const Arg*>& head_args =
-        acc ? AggSpecFor(v.rule_index)->pre_head : rule.head.args;
-    std::vector<TermRef> head_refs(head_args.size());
+    auto refs_of = [&env](const std::vector<const Arg*>& args) {
+      std::vector<TermRef> refs;
+      refs.reserve(args.size());
+      for (const Arg* a : args) refs.push_back({a, &env});
+      return refs;
+    };
+    const std::vector<TermRef> head_refs = refs_of(
+        acc ? AggSpecFor(v.rule_index)->pre_head : rule.head.args);
+    // The recorded literals' tuples, resolved per solution like the head.
+    std::vector<std::vector<TermRef>> body_refs;
+    for (uint32_t pos : recorded) {
+      body_refs.push_back(refs_of(rule.body[pos].args));
+    }
     while (cursor.Next()) {
       ++stats->solutions;
-      for (size_t i = 0; i < head_args.size(); ++i) {
-        head_refs[i] = {head_args[i], &env};
+      for (size_t k = 0; k < body_refs.size(); ++k) {
+        rec->slots()[k] = ResolveTuple(body_refs[k], db_->factory());
       }
-      const Tuple* t = ResolveTuple(head_refs, db_->factory());
-      bool inserted = head_sink->Emit(t);
-      changed |= inserted;
-      if (inserted && decl_->explain) {
-        // Explanation tool: record which body facts produced the head
-        // (sequential only: parallel_safe_ excludes @explain).
-        Derivation d;
-        d.head_pred = head;
-        d.head = t;
-        d.rule_index = v.rule_index;
-        for (const Literal& lit : rule.body) {
-          if (lit.negated) continue;
-          if (internal(lit.pred_ref()) == nullptr &&
-              db_->Resolve(lit.pred_ref()).kind == Definer::kBuiltin) {
-            continue;
-          }
-          std::vector<TermRef> refs;
-          refs.reserve(lit.args.size());
-          for (const Arg* a : lit.args) refs.push_back({a, &env});
-          d.body.emplace_back(lit.pred_ref(),
-                              ResolveTuple(refs, db_->factory()));
-        }
-        derivations_.push_back(std::move(d));
-      }
+      changed |= head_sink->Emit(ResolveTuple(head_refs, db_->factory()));
     }
     cursor.UndoAll();
     CORAL_RETURN_IF_ERROR(cursor.status());
@@ -517,8 +531,7 @@ Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
     for (size_t vi = 0; vi < par_versions.size(); ++vi) {
       const RuleVersion& v = *par_versions[vi];
       WorkerBufferSink sink(
-          static_cast<HashRelation*>(
-              internal(prog_->rules[v.rule_index].head.pred_ref())),
+          HeadRelation(prog_->rules[v.rule_index].head.pred_ref()),
           &wk.buffers[vi]);
       wk.status = ApplyVersion(scc_idx, v, naive, &cur,
                                static_cast<uint32_t>(w),
@@ -543,26 +556,16 @@ Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
   // / aggregate-selection machinery, so the relations end the iteration
   // with exactly the tuple sets the sequential insert order produces.
   for (size_t vi = 0; vi < par_versions.size(); ++vi) {
+    const RuleVersion& v = *par_versions[vi];
     obs::RuleStats* rs =
-        profile_ != nullptr
-            ? &profile_->rule(par_versions[vi]->rule_index)
-            : nullptr;
+        profile_ != nullptr ? &profile_->rule(v.rule_index) : nullptr;
+    HeadSink sink = SinkFor(prog_->rules[v.rule_index].head.pred_ref());
     for (const Worker& wk : workers) {
-      for (const InsertBuffer::Entry& e : wk.buffers[vi].entries()) {
-        if (e.rel->Insert(e.tuple)) {
-          ++stats_.inserts;
-          *changed = true;
-          if (rs != nullptr) {
-            rs->inserted.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (trace_ != nullptr) {
-            obs::TraceEvent ev;
-            ev.kind = obs::TraceKind::kInsert;
-            ev.module = decl_->name;
-            ev.pred = e.rel->name();
-            ev.detail = e.tuple->ToString();
-            trace_->Emit(ev);
-          }
+      for (const Tuple* t : wk.buffers[vi].tuples()) {
+        if (!sink.Emit(t)) continue;
+        *changed = true;
+        if (rs != nullptr) {
+          rs->inserted.fetch_add(1, std::memory_order_relaxed);
         }
       }
     }

@@ -387,11 +387,12 @@ Status MaintenancePass::ProcessCountingScc(const SccPlan& plan) {
   // Phase 2: apply. Count transitions decide relation changes; the
   // resulting head deltas feed downstream SCCs.
   for (auto& [h, dc] : dcounts) {
-    Relation* rel = inst_->internal(h);
+    HashRelation* rel = inst_->HeadRelation(h);
     if (rel == nullptr) {
       return Status::Internal("maintenance: counting head " + h.ToString() +
                               " has no internal relation");
     }
+    MaterializedInstance::HeadSink head(inst_, h, rel);
     auto& counts = inst_->support_counts_[h];
     PredDelta& hd = DeltaFor(h);
     for (const auto& [t, delta] : dc) {
@@ -423,7 +424,7 @@ Status MaintenancePass::ProcessCountingScc(const SccPlan& plan) {
         hd.minus_set.insert(t);
         ++result_->derived_deleted;
       } else if (old_count == 0 && new_count > 0) {
-        if (rel->Insert(t)) {
+        if (head.Emit(t)) {
           hd.plus.push_back(t);
           hd.plus_set.insert(t);
           ++result_->derived_inserted;
@@ -526,11 +527,11 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
   // m0, where Phase 5's frontier loop picks it up and closes transitive
   // rederivations.
   for (auto& [p, vec] : deleted) {
-    Relation* rel = inst_->internal(p);
+    MaterializedInstance::HeadSink head = inst_->SinkFor(p);
     for (const Tuple* t : vec) {
       CORAL_ASSIGN_OR_RETURN(bool again, Rederivable(plan, p, t));
       if (again) {
-        rel->Insert(t);
+        head.Emit(t);
         ++result_->rederived;
       }
     }
@@ -542,7 +543,8 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
   // carries internal-predicate insertions).
   for (uint32_t ri : rules) {
     const Rule& rule = prog().rules[ri];
-    PredRef h = rule.head.pred_ref();
+    MaterializedInstance::HeadSink head =
+        inst_->SinkFor(rule.head.pred_ref());
     for (size_t i = 0; i < rule.body.size(); ++i) {
       const Literal& lit = rule.body[i];
       if (!IsStored(lit)) continue;
@@ -553,7 +555,7 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
       CORAL_RETURN_IF_ERROR(Join(
           inst_->maint_rules_[ri].delta_first[i], static_cast<int>(i),
           &d->plus, BodyState::kNew, BodyState::kMid,
-          [&](const Tuple* t) { inst_->HeadInsert(h, t); }));
+          [&](const Tuple* t) { head.Emit(t); }));
     }
   }
 
@@ -601,13 +603,14 @@ Status MaintenancePass::ProcessRecursiveScc(size_t scc_idx) {
       const Rule& rule = prog().rules[ri];
       PredRef h = rule.head.pred_ref();
       if (inst_->internal(h) == nullptr) continue;
+      MaterializedInstance::HeadSink head = inst_->SinkFor(h);
       for (size_t i = 0; i < rule.body.size(); ++i) {
         auto fit = front.find(rule.body[i].pred_ref());
         if (fit == front.end() || !IsStored(rule.body[i])) continue;
         CORAL_RETURN_IF_ERROR(Join(
             inst_->maint_rules_[ri].delta_first[i], static_cast<int>(i),
             &fit->second, BodyState::kNew, BodyState::kNew,
-            [&](const Tuple* t) { inst_->HeadInsert(h, t); }));
+            [&](const Tuple* t) { head.Emit(t); }));
       }
     }
   }

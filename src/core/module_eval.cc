@@ -40,9 +40,12 @@ Relation* MaterializedInstance::internal(const PredRef& pred) const {
   return it == internal_.end() ? nullptr : it->second.get();
 }
 
-Relation* MaterializedInstance::staging(const PredRef& magic_pred) const {
-  auto it = staging_.find(magic_pred);
-  return it == staging_.end() ? nullptr : it->second.get();
+HashRelation* MaterializedInstance::HeadRelation(const PredRef& pred) const {
+  // staging_ is empty unless the module runs under Ordered Search.
+  auto sit = staging_.find(pred);
+  if (sit != staging_.end()) return sit->second.get();
+  auto it = internal_.find(pred);
+  return it == internal_.end() ? nullptr : it->second.get();
 }
 
 Relation* MaterializedInstance::answer_relation() const {
@@ -233,13 +236,11 @@ void MaterializedInstance::BindVmPrograms() {
   // run-time shape disagrees with what the compiler assumed: a body
   // predicate that now resolves to a builtin or another module's export
   // (the registries may have changed since the form compiled), or a head
-  // that is not an internal relation. The interpreter runs such rules.
+  // with no HeadRelation. The interpreter runs such rules.
   auto bind = [&](const vm::RuleProgram* rp) {
     VmBoundRule b;
     if (rp == nullptr) return b;
-    auto hit = internal_.find(rp->head_pred);
-    HashRelation* head = hit == internal_.end() ? nullptr : hit->second.get();
-    if (head == nullptr) {
+    if (HeadRelation(rp->head_pred) == nullptr) {
       db_->vm_counters()->bind_fallbacks.fetch_add(1,
                                                   std::memory_order_relaxed);
       return b;
@@ -257,7 +258,6 @@ void MaterializedInstance::BindVmPrograms() {
     }
     b.prog = rp;
     b.rels = std::move(rels);
-    b.head = head;
     return b;
   };
 
@@ -268,11 +268,9 @@ void MaterializedInstance::BindVmPrograms() {
     for (size_t i = 0; i < vm_versions_[s].size() && i < sp.versions.size();
          ++i) {
       vm_versions_[s][i] = bind(sp.versions[i].get());
-      vm_active_ = vm_active_ || vm_versions_[s][i].prog != nullptr;
     }
     for (size_t i = 0; i < vm_once_[s].size() && i < sp.once.size(); ++i) {
       vm_once_[s][i] = bind(sp.once[i].get());
-      vm_active_ = vm_active_ || vm_once_[s][i].prog != nullptr;
     }
   }
 }
@@ -407,14 +405,16 @@ std::string MaterializedInstance::Explain(const Tuple* fact) const {
   };
 
   std::string out;
-  // Depth-first expansion with cycle guard.
-  std::vector<const Tuple*> path;
+  // Depth-first expansion with cycle guard. The guard keys on the
+  // predicate too: tuples are hash-consed by their arguments alone, so a
+  // base fact and a derived fact of another predicate can share a node.
+  std::vector<std::pair<PredRef, const Tuple*>> path;
   std::function<void(const PredRef&, const Tuple*, int)> expand =
       [&](const PredRef& pred, const Tuple* t, int depth) {
         out.append(static_cast<size_t>(depth) * 2, ' ');
         out += display(pred) + t->ToString();
-        for (const Tuple* seen : path) {
-          if (seen == t) {
+        for (const auto& [seen_pred, seen] : path) {
+          if (seen_pred == pred && seen == t) {
             out += "  [cyclic]\n";
             return;
           }
@@ -426,7 +426,7 @@ std::string MaterializedInstance::Explain(const Tuple* fact) const {
         }
         out += "  <- rule " + std::to_string(d->rule_index) + ": " +
                prog_->rules[d->rule_index].ToString() + "\n";
-        path.push_back(t);
+        path.emplace_back(pred, t);
         for (const auto& [bpred, btuple] : d->body) {
           expand(bpred, btuple, depth + 1);
         }

@@ -79,31 +79,19 @@ class MaterializedInstance {
 
   Relation* answer_relation() const;
   Relation* internal(const PredRef& pred) const;
-  const RewrittenProgram& prog() const { return *prog_; }
   const ModuleDecl& decl() const { return *decl_; }
   const EvalStats& stats() const { return stats_; }
   bool in_step() const { return in_step_; }
-  bool complete() const { return complete_; }
-  Database* db() const { return db_; }
 
-  /// Recorded derivations (empty unless the module has @explain).
-  const std::vector<Derivation>& derivations() const { return derivations_; }
   /// Renders the derivation tree of `fact` (an answer or intermediate
   /// tuple). Predicates are shown with their original names.
   std::string Explain(const Tuple* fact) const;
-
-  /// The profile this activation records into; nullptr unless the module
-  /// has @profile or Database::set_profiling is on.
-  const obs::ModuleProfile* profile() const { return profile_; }
 
   /// The compiled join bytecode of this form (owned by the module
   /// manager's form cache); set before Init. Whether it runs is decided
   /// per activation: Database::use_vm(), @no_vm, and per-rule bind checks
   /// (docs/VM.md fallback rules).
   void set_vm_program(const vm::ModuleProgram* vm) { vm_module_ = vm; }
-  /// True when at least one rule version of this activation is bound to
-  /// the VM (test hook).
-  bool vm_active() const { return vm_active_; }
 
   // --- incremental view maintenance (maintenance.cc) ---
   /// True when this completed activation's shape is covered by the
@@ -148,7 +136,24 @@ class MaterializedInstance {
   // --- fixpoint engine (fixpoint.cc) ---
   /// Per-predicate marks: an iteration-start snapshot or the previous one.
   using MarkMap = std::unordered_map<PredRef, Mark, PredRefHash>;
-  class DirectInsertSink;
+
+  /// The one insert path of derived heads: every rule application (VM or
+  /// interpreter), the parallel merge barrier and maintenance insert
+  /// through it. The head relation is resolved before the application
+  /// starts (HeadRelation); Emit inserts, counts the insert and traces
+  /// it. Staging inserts stay untraced: the subgoal is not visible yet.
+  class HeadSink : public vm::TupleSink {
+   public:
+    HeadSink(MaterializedInstance* self, const PredRef& pred,
+             HashRelation* rel);
+    bool Emit(const Tuple* t) override;
+
+   private:
+    MaterializedInstance* self_;
+    PredRef pred_;
+    HashRelation* rel_;
+    obs::TraceSink* trace_;  // null: untraced
+  };
 
   Status RunOnceRules(size_t scc_idx);
   Status RunIteration(size_t scc_idx, bool* changed);
@@ -159,7 +164,8 @@ class MaterializedInstance {
   /// WindowFor), on the VM when a program is bound and no input may hold
   /// a non-ground tuple and through the interpreter otherwise, and hands
   /// every derived head tuple to `sink` (an aggregate head's through a
-  /// GroupAccumulator). Parallel workers pass their share of a partitioned
+  /// GroupAccumulator; under @explain through a derivation recorder that
+  /// wraps it). Parallel workers pass their share of a partitioned
   /// body scan (part_index < part_count) and their own trail and stats;
   /// sequential callers go through ApplyDirect. Returns whether any Emit
   /// reported a change.
@@ -169,7 +175,7 @@ class MaterializedInstance {
                               Trail* trail, EvalStats* stats,
                               vm::TupleSink* sink);
   /// ApplyVersion, unpartitioned, on this instance's trail and stats,
-  /// inserting heads directly (DirectInsertSink).
+  /// inserting heads through a HeadSink.
   StatusOr<bool> ApplyDirect(size_t scc_idx, const RuleVersion& v,
                              bool naive_override, const MarkMap* cur);
   /// The body literal a worker's share is cut on: the delta scan when it
@@ -197,24 +203,29 @@ class MaterializedInstance {
                               size_t nthreads);
   std::pair<Mark, Mark> WindowFor(size_t scc_idx, const PredRef& pred,
                                   RangeSel sel, const MarkMap* cur);
-  bool HeadInsert(const PredRef& pred, const Tuple* t);
+  /// Where derived `pred` tuples go: the staging relation of a magic
+  /// head under Ordered Search (the context decides when a subgoal
+  /// becomes available, paper §5.4.1), else the internal relation; null
+  /// when `pred` is neither.
+  HashRelation* HeadRelation(const PredRef& pred) const;
+  /// A HeadSink on HeadRelation(pred), which must exist.
+  HeadSink SinkFor(const PredRef& pred);
   const AggHeadSpec* AggSpecFor(uint32_t rule_index);
-  Relation* staging(const PredRef& magic_pred) const;
 
   // --- join bytecode VM (fixpoint.cc + Init) ---
   /// A compiled rule version bound to this activation's relations.
   struct VmBoundRule {
     const vm::RuleProgram* prog = nullptr;
     std::vector<Relation*> rels;  // per level
-    HashRelation* head = nullptr;
   };
   /// vm::Execute plus the Database-wide VmCounters bookkeeping shared by
   /// the fixpoint and maintenance: one application and its opcode counts.
   Status ExecuteVm(const vm::RunInput& in, vm::TupleSink* sink,
                    vm::RunStats* rst) const;
   /// Resolves relations for every compiled version; disqualifies rules
-  /// whose bind-time shape the VM cannot run (non-internal head, literals
-  /// that now resolve to builtins or module calls). Called from Init.
+  /// whose bind-time shape the VM cannot run (a head with no
+  /// HeadRelation, literals that now resolve to builtins or module
+  /// calls). Called from Init.
   void BindVmPrograms();
   /// The bound program for a version, or null (interpret).
   const VmBoundRule* VmRuleFor(size_t scc_idx, bool once,
@@ -290,7 +301,6 @@ class MaterializedInstance {
   // Join bytecode, bound per activation in Init (null = interpret). The
   // tables mirror SccPlan::versions / SccPlan::once by index.
   const vm::ModuleProgram* vm_module_ = nullptr;
-  bool vm_active_ = false;
   std::vector<std::vector<VmBoundRule>> vm_versions_;
   std::vector<std::vector<VmBoundRule>> vm_once_;
 

@@ -97,13 +97,6 @@ class ModuleManager {
   /// matched against recorded heads (answers and intermediates).
   StatusOr<std::string> ExplainLast(const Tuple* fact) const;
 
-  std::vector<std::string> module_names() const {
-    MutexLock lock(&mu_);
-    std::vector<std::string> names;
-    for (const auto& entry : modules_) names.push_back(entry->decl.name);
-    return names;
-  }
-
   /// Drops the saved instance of every compiled form that (transitively
   /// within the module) reads base predicate `pred` — or that calls into
   /// another module, where dependencies are not tracked. Called when a
@@ -123,7 +116,7 @@ class ModuleManager {
     uint64_t compiled = 0;
     uint64_t skipped = 0;
     /// Non-empty: the whole form runs interpreted for this (legitimate)
-    /// reason — pipelined evaluation, @no_vm, ordered search.
+    /// reason — pipelined evaluation or @no_vm.
     std::string fallback_reason;
     std::string error;       // non-empty: rewrite/compile failure
   };

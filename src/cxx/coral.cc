@@ -48,7 +48,7 @@ StatusOr<const Arg*> Coral::Term(const std::string& text) {
   return Parser::ParseTerm(text, factory(), &var_count);
 }
 
-Relation* Coral::GetRelation(const std::string& name, uint32_t arity) {
+const Relation* Coral::GetRelation(const std::string& name, uint32_t arity) {
   // A builtin or a module defines its answers and stores nothing: a
   // relation under its name would hold tuples no query reads.
   return db_->StoredRelation({factory()->symbols().Intern(name), arity});

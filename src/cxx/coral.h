@@ -111,10 +111,12 @@ class Coral {
     return factory()->MakeTuple(v);
   }
 
-  /// The base relation for name/arity (created empty if absent); nullptr
-  /// when a builtin (RegisterPredicate's included) or a module defines
-  /// the predicate (Database::Resolve).
-  Relation* GetRelation(const std::string& name, uint32_t arity);
+  /// The base relation for name/arity (created empty if absent), read
+  /// only: writes go through Insert/Delete, whose commit validates them
+  /// and maintains saved modules. nullptr when a builtin
+  /// (RegisterPredicate's included) or a module defines the predicate
+  /// (Database::Resolve).
+  const Relation* GetRelation(const std::string& name, uint32_t arity);
 
   /// Inserts a fact; creates the relation on first use.
   StatusOr<bool> Insert(const std::string& pred,

@@ -137,7 +137,6 @@ struct ModuleDecl {
   FixpointKind fixpoint = FixpointKind::kBasicSemiNaive;
   RewriteKind rewrite = RewriteKind::kSupplementaryMagic;
   bool save_module = false;        // paper §5.4.2
-  bool lazy_eval = false;          // paper §5.4.3
   bool eager = false;              // compute all answers before returning
   bool ordered_search = false;     // paper §5.4.1
   bool intelligent_backtracking = true;

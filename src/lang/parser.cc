@@ -219,7 +219,7 @@ Status Parser::ParseAnnotation(ModuleDecl* mod, Program* top) {
   } else if (name == "save_module") {
     mod->save_module = true;
   } else if (name == "lazy_eval" || name == "lazy") {
-    mod->lazy_eval = true;
+    // Lazy answer delivery is the default (paper §5.4.3).
   } else if (name == "eager") {
     mod->eager = true;
   } else if (name == "ordered_search") {

@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/rel/relation.h"
@@ -54,46 +53,27 @@ class PartitionedIterator : public TupleIterator {
   uint32_t count_;
 };
 
-/// A worker-private buffer of derived head facts. During the parallel
-/// phase of an iteration relations are read-only; everything a worker
-/// derives lands here and is inserted at the barrier. Exact-duplicate
-/// suppression (same relation, same canonical tuple node) keeps buffers
-/// small; it is only an optimization — the merge re-checks through
-/// Relation::Insert, which also handles subsumption and multisets.
+/// A worker-private buffer of one rule version's derived head facts.
+/// During the parallel phase of an iteration relations are read-only;
+/// everything a worker derives lands here and is inserted at the barrier.
+/// Exact-duplicate suppression keeps buffers small; it is only an
+/// optimization — the merge re-checks through Relation::Insert, which
+/// also handles subsumption and multisets.
 class InsertBuffer {
  public:
-  struct Entry {
-    Relation* rel;
-    const Tuple* tuple;
-  };
-
-  /// Buffers (rel, t). With `dedup`, drops exact repeats already buffered
+  /// Buffers `t`. With `dedup`, drops exact repeats already buffered
   /// here; ground tuples are canonical nodes, so pointer identity is an
   /// exact equality test. Never dedup multiset targets.
-  void Add(Relation* rel, const Tuple* t, bool dedup) {
-    if (dedup && t->IsGround() &&
-        !seen_.insert(std::make_pair(rel, t)).second) {
-      return;
-    }
-    entries_.push_back(Entry{rel, t});
+  void Add(const Tuple* t, bool dedup) {
+    if (dedup && t->IsGround() && !seen_.insert(t).second) return;
+    tuples_.push_back(t);
   }
 
-  const std::vector<Entry>& entries() const { return entries_; }
-  size_t size() const { return entries_.size(); }
-  void Clear() {
-    entries_.clear();
-    seen_.clear();
-  }
+  const std::vector<const Tuple*>& tuples() const { return tuples_; }
 
  private:
-  struct PairHash {
-    size_t operator()(const std::pair<Relation*, const Tuple*>& p) const {
-      return std::hash<const void*>()(p.first) * 1000003u ^
-             std::hash<const void*>()(p.second);
-    }
-  };
-  std::vector<Entry> entries_;
-  std::unordered_set<std::pair<Relation*, const Tuple*>, PairHash> seen_;
+  std::vector<const Tuple*> tuples_;
+  std::unordered_set<const Tuple*> seen_;
 };
 
 }  // namespace coral

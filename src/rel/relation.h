@@ -178,24 +178,6 @@ class Relation {
   std::vector<std::unique_ptr<AggregateSelection>> selections_;
 };
 
-/// Chains iterators over several subsidiary stores.
-class ChainIterator : public TupleIterator {
- public:
-  explicit ChainIterator(std::vector<std::unique_ptr<TupleIterator>> parts)
-      : parts_(std::move(parts)) {}
-  const Tuple* Next() override {
-    while (idx_ < parts_.size()) {
-      if (const Tuple* t = parts_[idx_]->Next()) return t;
-      ++idx_;
-    }
-    return nullptr;
-  }
-
- private:
-  std::vector<std::unique_ptr<TupleIterator>> parts_;
-  size_t idx_ = 0;
-};
-
 }  // namespace coral
 
 #endif  // CORAL_REL_RELATION_H_

@@ -46,8 +46,10 @@ void PageGuard::Release() {
   data_ = nullptr;
 }
 
-BufferPool::BufferPool(DiskManager* disk, size_t frames) : disk_(disk) {
+BufferPool::BufferPool(DiskManager* disk, size_t frames)
+    : disk_(disk), frame_count_(frames) {
   CORAL_CHECK_GT(frames, 0u);
+  MutexLock lock(&mu_);
   frames_.resize(frames);
   for (size_t i = 0; i < frames; ++i) {
     frames_[i].data = std::make_unique<char[]>(kPageSize);
@@ -92,6 +94,7 @@ StatusOr<BufferPool::Frame*> BufferPool::GetVictim() {
 }
 
 StatusOr<PageGuard> BufferPool::Fetch(PageId id) {
+  MutexLock lock(&mu_);
   auto it = table_.find(id);
   if (it != table_.end()) {
     ++hits_;
@@ -113,6 +116,7 @@ StatusOr<PageGuard> BufferPool::Fetch(PageId id) {
 }
 
 StatusOr<PageGuard> BufferPool::New() {
+  MutexLock lock(&mu_);
   CORAL_ASSIGN_OR_RETURN(PageId id, disk_->AllocatePage());
   CORAL_ASSIGN_OR_RETURN(Frame * f, GetVictim());
   std::memset(f->data.get(), 0, kPageSize);
@@ -128,6 +132,7 @@ StatusOr<PageGuard> BufferPool::New() {
 }
 
 void BufferPool::Invalidate(PageId id) {
+  MutexLock lock(&mu_);
   auto it = table_.find(id);
   if (it == table_.end()) return;
   Frame& f = frames_[it->second];
@@ -138,6 +143,7 @@ void BufferPool::Invalidate(PageId id) {
 }
 
 void BufferPool::Unpin(PageId id) {
+  MutexLock lock(&mu_);
   auto it = table_.find(id);
   CORAL_CHECK(it != table_.end()) << "unpin of unknown page " << id;
   Frame& f = frames_[it->second];
@@ -146,6 +152,7 @@ void BufferPool::Unpin(PageId id) {
 }
 
 Status BufferPool::FlushAll() {
+  MutexLock lock(&mu_);
   for (Frame& f : frames_) {
     if (f.page != kInvalidPageId && f.dirty) {
       CORAL_RETURN_IF_ERROR(disk_->WritePage(f.page, f.data.get()));

@@ -3,7 +3,9 @@
 // process, and maintains buffers for persistent relations. If a requested
 // tuple is not in the client buffer pool, a request is forwarded to the
 // EXODUS server and the page with the requested tuple is retrieved").
-// Pin/unpin discipline with LRU replacement of unpinned frames.
+// Pin/unpin discipline with LRU replacement of unpinned frames. One latch
+// guards the pin table, the LRU list and the counters, so concurrent
+// readers may fetch and unpin pages; page contents are not latched.
 
 #ifndef CORAL_STORAGE_BUFFER_POOL_H_
 #define CORAL_STORAGE_BUFFER_POOL_H_
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "src/storage/disk_manager.h"
+#include "src/util/sync.h"
 
 namespace coral {
 
@@ -56,12 +59,12 @@ class BufferPool {
   ~BufferPool();
 
   /// Pins the page, reading it from the server on a miss.
-  StatusOr<PageGuard> Fetch(PageId id);
+  StatusOr<PageGuard> Fetch(PageId id) CORAL_EXCLUDES(mu_);
 
   /// Allocates a new page and pins it (zeroed; caller formats it).
-  StatusOr<PageGuard> New();
+  StatusOr<PageGuard> New() CORAL_EXCLUDES(mu_);
 
-  Status FlushAll();
+  Status FlushAll() CORAL_EXCLUDES(mu_);
 
   /// Installs the WAL before-image hook, invoked on the first MarkDirty
   /// of each clean cached page.
@@ -69,13 +72,22 @@ class BufferPool {
 
   /// Drops a cached page (after its disk content was externally restored,
   /// e.g. by transaction abort). The frame must be unpinned.
-  void Invalidate(PageId id);
+  void Invalidate(PageId id) CORAL_EXCLUDES(mu_);
 
-  size_t frame_count() const { return frames_.size(); }
+  size_t frame_count() const { return frame_count_; }
   DiskManager* disk() const { return disk_; }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
+  uint64_t hits() const CORAL_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return hits_;
+  }
+  uint64_t misses() const CORAL_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return misses_;
+  }
+  uint64_t evictions() const CORAL_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return evictions_;
+  }
 
  private:
   friend class PageGuard;
@@ -89,19 +101,21 @@ class BufferPool {
     std::unique_ptr<char[]> data;
   };
 
-  void Unpin(PageId id);
+  void Unpin(PageId id) CORAL_EXCLUDES(mu_);
   /// Frame to (re)use; evicts the LRU unpinned frame if necessary.
-  StatusOr<Frame*> GetVictim();
-  void Touch(size_t frame_idx);
+  StatusOr<Frame*> GetVictim() CORAL_REQUIRES(mu_);
+  void Touch(size_t frame_idx) CORAL_REQUIRES(mu_);
 
   DiskManager* disk_;
   ModifyHook modify_hook_;
-  std::vector<Frame> frames_;
-  std::unordered_map<PageId, size_t> table_;
-  std::list<size_t> lru_;  // most-recent at front; only unpinned matter
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
+  const size_t frame_count_;
+  mutable Mutex mu_{kRankBufferPool};
+  std::vector<Frame> frames_ CORAL_GUARDED_BY(mu_);
+  std::unordered_map<PageId, size_t> table_ CORAL_GUARDED_BY(mu_);
+  std::list<size_t> lru_ CORAL_GUARDED_BY(mu_);  // most-recent at front
+  uint64_t hits_ CORAL_GUARDED_BY(mu_) = 0;
+  uint64_t misses_ CORAL_GUARDED_BY(mu_) = 0;
+  uint64_t evictions_ CORAL_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace coral

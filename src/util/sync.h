@@ -130,6 +130,8 @@ enum LockRank : uint32_t {
   kRankTermFactory = 40,     // TermFactory::mu_ (arena + hash-cons)
   kRankSymbolTable = 45,     // SymbolTable::mu_ (interning; acquired
                              // under the TermFactory lock by MakeAtom)
+  kRankBufferPool = 48,      // BufferPool::mu_ (pin table, LRU,
+                             // counters; a miss reads through 50 and 60)
   kRankFaultInjector = 50,   // FaultInjector::mu_ (failpoint registry)
   kRankStorageMetrics = 60,  // obs::StorageMetrics::mu_ (event ring)
 };

@@ -227,10 +227,6 @@ ModuleProgram CompileModule(const RewrittenProgram& prog,
   const char* module_skip = nullptr;
   if (decl.no_vm) {
     module_skip = "@no_vm";
-  } else if (prog.ordered_search || decl.ordered_search) {
-    module_skip = "ordered search";
-  } else if (decl.explain) {
-    module_skip = "@explain";
   } else if (decl.eval_mode == EvalMode::kPipelined) {
     module_skip = "pipelined";
   }

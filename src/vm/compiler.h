@@ -55,8 +55,9 @@ CompiledRule CompileRule(const Rule& rule, uint32_t rule_index,
                          const InternalSet& internal, const CompileEnv& env);
 
 /// Compiles every rule version of `prog`. Whole-module skips (@no_vm,
-/// ordered search, @explain, pipelining) yield an empty sccs vector with
-/// the reason in `listing`.
+/// pipelining) yield an empty sccs vector with the reason in `listing`.
+/// Ordered Search and @explain modules compile like any other: they
+/// change only where a derived head goes (the fixpoint's head sinks).
 ModuleProgram CompileModule(const RewrittenProgram& prog,
                             const ModuleDecl& decl, const CompileEnv& env);
 

@@ -20,6 +20,7 @@ class Executor {
       : in_(in),
         prog_(*in.prog),
         sink_(sink),
+        matched_(in.matched),
         st_(st),
         regs_(prog_.nregs, nullptr),
         cand_(prog_.levels.size()),
@@ -91,6 +92,7 @@ class Executor {
         if (!EvalTest(c)) return true;
       }
     }
+    if (matched_ != nullptr) matched_[li] = t;
     return RunLevel(li + 1);
   }
 
@@ -165,6 +167,7 @@ class Executor {
   const RunInput& in_;
   const RuleProgram& prog_;
   TupleSink* sink_;
+  const Tuple** matched_;
   RunStats* st_;
   std::vector<const Arg*> regs_;
   std::vector<std::vector<const Tuple*>> cand_;

@@ -72,6 +72,11 @@ struct RunInput {
   int part_col = -1;
   uint32_t part_index = 0;
   uint32_t part_count = 1;
+  /// Optional per-level output: before descending past level i the
+  /// executor stores the tuple that level matched in matched[i], so a
+  /// sink sees the whole body match at Emit (derivation recording).
+  /// Null when nothing records.
+  const Tuple** matched = nullptr;
 };
 
 struct RunStats {

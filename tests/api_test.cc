@@ -63,7 +63,7 @@ TEST(ApiTest, CoralFacadeCoversEmbeddingSurface) {
   EXPECT_EQ(result->rows.size(), 3u);
 
   // Relation and scan surface, re-exported by the umbrella header.
-  Relation* edges = c.GetRelation("edge", 2);
+  const Relation* edges = c.GetRelation("edge", 2);
   ASSERT_NE(edges, nullptr);
   EXPECT_EQ(edges->size(), 3u);
   auto scan = c.OpenScan("path(a, X)");

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <coral/coral.h>
@@ -328,14 +329,47 @@ TEST(CxxTest, RelationAbstractionFromCxx) {
   )").ok());
   auto scan = c.OpenScan("t(X, Y)");
   ASSERT_TRUE(scan.ok());
-  // Copy answers into a new base relation via the Relation interface.
-  Relation* closure = c.GetRelation("closure", 2);
-  while (const Tuple* t = scan->Next()) closure->Insert(t);
+  // Copy answers into a new base relation through the commit path; the
+  // Relation handle reads it back.
+  while (const Tuple* t = scan->Next()) {
+    ASSERT_TRUE(c.Insert("closure", {t->arg(0), t->arg(1)}).ok());
+  }
+  const Relation* closure = c.GetRelation("closure", 2);
+  ASSERT_NE(closure, nullptr);
   EXPECT_EQ(closure->size(), 6u);
   // The copied relation is queryable like any base relation.
   auto out = c.Command("?- closure(1, X).");
   ASSERT_TRUE(out.ok());
   EXPECT_NE(out->find("X = 4"), std::string::npos);
+}
+
+TEST(CxxTest, GetRelationIsReadOnlyAndWritesKeepSavedViewsFresh) {
+  // A write through a live Relation* would skip validation, the commit
+  // lock and maintenance, leaving a saved view stale for good. The
+  // handle is read only; Coral::Insert commits and maintains.
+  Coral c;
+  ASSERT_TRUE(c.Consult(R"(
+    module tc. export t(bf). @save_module.
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- e(X, Z), t(Z, Y).
+    end_module.
+    e(1, 2). e(2, 3).
+  )").ok());
+  EXPECT_TRUE((std::is_const_v<
+               std::remove_pointer_t<decltype(c.GetRelation("e", 2))>>));
+  auto count = [&c] {
+    auto res = c.EvalQuery("t(1, Y)");
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    return res.ok() ? res->rows.size() : 0;
+  };
+  EXPECT_EQ(count(), 2u);
+  ASSERT_TRUE(c.Insert("e", {c.Int(3), c.Int(4)}).ok());
+  EXPECT_EQ(count(), 3u);
+  ASSERT_TRUE(c.Insert("e", {c.Int(4), c.Int(5)}).ok());
+  EXPECT_EQ(count(), 4u);
+  const Relation* e = c.GetRelation("e", 2);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->size(), 4u);
 }
 
 }  // namespace

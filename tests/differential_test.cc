@@ -686,7 +686,7 @@ void RunAggregateDifferential(uint64_t seed, int threads,
 // configuration. `vm_apps` accumulates VM applications across the run —
 // the test asserts at the end that the VM actually executed.
 void RunVmDifferential(uint64_t seed, bool with_negation,
-                       uint64_t* vm_apps) {
+                       uint64_t* vm_apps, uint64_t* os_vm_apps = nullptr) {
   Lcg rng(seed);
   std::vector<GRule> rules = GenProgram(&rng, with_negation);
   if (rules.empty()) return;
@@ -706,9 +706,10 @@ void RunVmDifferential(uint64_t seed, bool with_negation,
   Db expected = base;
   ReferenceFixpoint(rules, &expected);
 
-  // Shapes the VM cannot compile (@ordered_search, negation) stay in the
-  // mix on purpose: the interpreter fallback must be as correct as the
-  // compiled path, under every thread count.
+  // Negation, which the VM does not compile, stays in the mix on
+  // purpose: the interpreter fallback must be as correct as the compiled
+  // path, under every thread count. So does @ordered_search, whose magic
+  // heads the compiled path stages.
   static const char* kPositive[] = {"",      "@psn.",           "@naive.",
                                     "@no_rewriting.", "@magic.",
                                     "@reorder_joins.", "@save_module.",
@@ -767,6 +768,10 @@ void RunVmDifferential(uint64_t seed, bool with_negation,
     }
     if (cfg.use_vm) {
       *vm_apps += db.vm_counters()->applications.load();
+      if (os_vm_apps != nullptr &&
+          std::string(strategy) == "@ordered_search.") {
+        *os_vm_apps += db.vm_counters()->applications.load();
+      }
     } else {
       // With the VM off nothing may reach it at all.
       EXPECT_EQ(db.vm_counters()->applications.load(), 0u)
@@ -954,11 +959,14 @@ TEST(VmDifferentialTest, VmInterpreterThreadMatrixMatchesReference) {
 
 TEST(VmDifferentialTest, VmMatrixWithNegationMatchesReference) {
   uint64_t vm_apps = 0;
+  uint64_t os_vm_apps = 0;
   for (uint64_t seed = 8500; seed <= 8649; ++seed) {
-    RunVmDifferential(seed, /*with_negation=*/true, &vm_apps);
+    RunVmDifferential(seed, /*with_negation=*/true, &vm_apps, &os_vm_apps);
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(vm_apps, 0u);
+  // Ordered Search modules run compiled too.
+  EXPECT_GT(os_vm_apps, 0u);
 }
 
 // Bytecode round-trip property, fuzzed over the same program generator:

@@ -38,6 +38,28 @@ TEST(ExplainTest, DerivationTreeForTransitiveClosure) {
   EXPECT_NE(tree->find("par(c,d)"), std::string::npos) << *tree;
 }
 
+TEST(ExplainTest, BaseFactSharingATupleWithADerivedFactIsNotCyclic) {
+  // Tuples are hash-consed by their arguments alone: par(a,x) and the
+  // supplementary-magic fact over (a,x) that anc(a,d) is derived from
+  // are one node. The cycle guard must tell them apart by predicate.
+  Database db;
+  ASSERT_TRUE(db.Consult(R"(
+    module anc.
+    export anc(bf).
+    @explain.
+    anc(X, Y) :- par(X, Y).
+    anc(X, Y) :- par(X, Z), anc(Z, Y).
+    end_module.
+    par(a, b). par(b, c). par(c, d). par(a, x). par(x, d).
+  )").ok());
+  ASSERT_TRUE(db.EvalQuery("anc(a, Y)").ok());
+  auto tree = db.Explain("anc(a, d)");
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_NE(tree->find("par(a,x)  [base fact]"), std::string::npos) << *tree;
+  EXPECT_NE(tree->find("par(x,d)  [base fact]"), std::string::npos) << *tree;
+  EXPECT_EQ(tree->find("[cyclic]"), std::string::npos) << *tree;
+}
+
 TEST(ExplainTest, RequiresAnnotation) {
   Database db;
   ASSERT_TRUE(db.Consult(R"(

@@ -290,7 +290,7 @@ TEST_F(LangTest, ParseModuleAnnotations) {
   const ModuleDecl& m = prog.modules[0];
   EXPECT_EQ(m.eval_mode, EvalMode::kPipelined);
   EXPECT_TRUE(m.save_module);
-  EXPECT_TRUE(m.lazy_eval);
+  EXPECT_FALSE(m.eager);  // @lazy_eval names the default (paper §5.4.3)
   EXPECT_TRUE(m.ordered_search);
   EXPECT_EQ(m.fixpoint, FixpointKind::kPredicateSemiNaive);
   EXPECT_EQ(m.rewrite, RewriteKind::kNone);

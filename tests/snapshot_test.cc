@@ -3,12 +3,17 @@
 // some from-scratch evaluation at a commit boundary (snapshot isolation
 // — never a torn read in the middle of a batch), deadlines must abort
 // runaway queries, and Database teardown must be safe with observers
-// registered. Run under CORAL_SANITIZE="thread" in the CI thread matrix,
-// these tests are the data-race harness for the commit/publish protocol.
+// registered, and read-only sessions over one persistent relation must
+// share its buffer pool. Run under CORAL_SANITIZE="thread" in the CI
+// thread matrix, these tests are the data-race harness for the
+// commit/publish protocol and the buffer-pool latch.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +22,7 @@
 #include "src/core/database.h"
 #include "src/core/session.h"
 #include "src/obs/trace.h"
+#include "src/storage/storage_manager.h"
 
 namespace coral {
 namespace {
@@ -291,6 +297,77 @@ TEST(SnapshotTest, EpochAdvancesPerPublication) {
   ASSERT_TRUE(db.Consult("p(2).").ok());
   auto v2 = db.AcquireReadSnapshot();
   EXPECT_GT(v2->epoch, e1);
+}
+
+// Two read-only sessions run recursive queries over one persistent
+// relation whose 4-frame buffer pool holds a fraction of its pages, with
+// no writer: their probes miss, evict, pin and unpin concurrently. The
+// pool latch keeps the pin table and LRU list whole, and every answer
+// matches the single-threaded one.
+TEST(SnapshotTest, ReadOnlySessionsShareAPersistentBufferPool) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("coral_snapshot_pool_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  {
+    Database db;
+    TermFactory* f = db.factory();
+    StorageManager::Options opts;
+    opts.pool_frames = 4;
+    auto sm = StorageManager::Open((dir / "db").string(), f, opts);
+    ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+    auto rel = (*sm)->CreateRelation("pedge", 2);
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+    ASSERT_TRUE((*rel)->AddIndex({0}).ok());
+    // 30 distinct edges out of each of nodes 0..99, spread over every
+    // heap page; about one target in 30 is a node with edges again.
+    for (int i = 0; i < 3000; ++i) {
+      const Arg* args[] = {f->MakeInt(i % 100),
+                           f->MakeInt((i * 37 + 11) % 3000)};
+      (*rel)->Insert(f->MakeTuple(args));
+    }
+    ASSERT_TRUE((*sm)->AttachTo(&db).ok());
+    ASSERT_TRUE(db.Consult(R"(
+      module preach.
+      export preach(bf).
+      preach(X, Y) :- pedge(X, Y).
+      preach(X, Y) :- preach(X, Z), pedge(Z, Y).
+      end_module.
+    )").ok());
+
+    constexpr int kKeys = 4;
+    size_t want[kKeys];
+    for (int k = 0; k < kKeys; ++k) {
+      auto res = db.EvalQuery("preach(" + std::to_string(k) + ", Y)");
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      want[k] = res->rows.size();
+      ASSERT_GT(want[k], 0u);
+    }
+    const uint64_t misses = (*sm)->pool()->misses();
+
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&db, &want, &wrong, r] {
+        Session session(&db);
+        for (int round = 0; round < 3; ++round) {
+          for (int k = 0; k < kKeys; ++k) {
+            const int key = (k + r) % kKeys;
+            auto res =
+                session.EvalQuery("preach(" + std::to_string(key) + ", Y)");
+            if (!res.ok() || res->rows.size() != want[key]) {
+              wrong.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : readers) t.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_GT((*sm)->pool()->misses(), misses);
+    EXPECT_TRUE((*sm)->Close().ok());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

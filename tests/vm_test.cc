@@ -1,9 +1,9 @@
 // Tests for the join bytecode VM (docs/VM.md): golden disassembly of the
 // canonical recursive programs, hand-stepped opcode counters, aggregate,
-// multiset and aggregate-selection heads on the VM, the interpreter paths
-// (ordered search, negation, non-ground inputs, @no_vm, set_use_vm), the
-// query deadline, and probe-to-scan degradation when a planned argument
-// index is absent.
+// multiset and aggregate-selection heads on the VM, Ordered Search and
+// @explain modules on the VM, the interpreter paths (negation, non-ground
+// inputs, @no_vm, set_use_vm), the query deadline, and probe-to-scan
+// degradation when a planned argument index is absent.
 
 #include <gtest/gtest.h>
 
@@ -343,7 +343,7 @@ TEST(VmAggregate, SumHeadRunsCompiled) {
   EXPECT_GT(Count(db.vm_counters()->applications), 0u);
 }
 
-TEST(VmFallback, OrderedSearchModuleInterpreted) {
+TEST(VmOrderedSearch, ModuleRunsCompiled) {
   Database db;
   auto st = db.Consult(R"(
     module os.
@@ -360,11 +360,50 @@ TEST(VmFallback, OrderedSearchModuleInterpreted) {
   auto res2 = db.EvalQuery("win(2)");
   ASSERT_TRUE(res2.ok()) << res2.status().ToString();
   EXPECT_EQ(res2->rows.size(), 0u);
-  // The whole module is interpreted; nothing may reach the VM.
-  EXPECT_EQ(Count(db.vm_counters()->applications), 0u);
-  EXPECT_NE(BytecodeSection(&db, "os", "win", "b")
-                .find("module interpreted: ordered search"),
-            std::string::npos);
+  // The magic rules run on the VM and stage their heads; only the rule
+  // with the negated literal stays interpreted.
+  EXPECT_GT(Count(db.vm_counters()->applications), 0u);
+  const std::string listing = BytecodeSection(&db, "os", "win", "b");
+  EXPECT_EQ(listing.find("module interpreted"), std::string::npos)
+      << listing;
+  EXPECT_NE(listing.find("interpreted: negated literal"), std::string::npos)
+      << listing;
+}
+
+TEST(VmExplain, ModuleRunsCompiledWithTheSameExplanation) {
+  // par(a,x) and a supplementary-magic fact over (a,x) share one tuple
+  // node, so the explanation also exercises the cycle guard's predicate.
+  const char* kProgram = R"(
+    module anc.
+    export anc(bf).
+    @explain.
+    anc(X, Y) :- par(X, Y).
+    anc(X, Y) :- par(X, Z), anc(Z, Y).
+    end_module.
+    par(a, b). par(b, c). par(c, d). par(a, x). par(x, d).
+  )";
+  std::string trees[2];
+  for (bool use_vm : {true, false}) {
+    Database db;
+    db.set_use_vm(use_vm);
+    ASSERT_TRUE(db.Consult(kProgram).ok());
+    auto res = db.EvalQuery("anc(a, Y)");
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res->rows.size(), 4u);
+    auto tree = db.Explain("anc(a, d)");
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    trees[use_vm ? 0 : 1] = *tree;
+    if (use_vm) {
+      EXPECT_GT(Count(db.vm_counters()->applications), 0u);
+      EXPECT_EQ(BytecodeSection(&db, "anc", "anc", "bf")
+                    .find("module interpreted"),
+                std::string::npos);
+    } else {
+      EXPECT_EQ(Count(db.vm_counters()->applications), 0u);
+    }
+  }
+  EXPECT_FALSE(trees[0].empty());
+  EXPECT_EQ(trees[0], trees[1]);
 }
 
 TEST(VmFallback, NegatedLiteralRuleInterpreted) {
